@@ -14,18 +14,4 @@ panic(const std::string &msg)
     throw PanicError(msg);
 }
 
-void
-fatalIf(bool cond, const std::string &msg)
-{
-    if (cond)
-        fatal(msg);
-}
-
-void
-panicIf(bool cond, const std::string &msg)
-{
-    if (cond)
-        panic(msg);
-}
-
 } // namespace wanify

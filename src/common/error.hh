@@ -43,11 +43,25 @@ class PanicError : public std::logic_error
 /** Abort with an internal-invariant violation; see class docs. */
 [[noreturn]] void panic(const std::string &msg);
 
-/** fatal(msg) unless cond holds. */
-void fatalIf(bool cond, const std::string &msg);
+/**
+ * fatal(msg) if cond holds. The checks are inline and take a literal
+ * message as const char *, so a passing check is one compare-and-branch
+ * in the caller; the std::string is built only when the check fails.
+ */
+inline void
+fatalIf(bool cond, const char *msg) { if (cond) fatal(msg); }
 
-/** panic(msg) unless cond holds. */
-void panicIf(bool cond, const std::string &msg);
+/** panic(msg) if cond holds; see fatalIf(). */
+inline void
+panicIf(bool cond, const char *msg) { if (cond) panic(msg); }
+
+/** fatalIf() for a message composed at the call site. */
+inline void
+fatalIf(bool cond, const std::string &msg) { if (cond) fatal(msg); }
+
+/** panicIf() for a message composed at the call site. */
+inline void
+panicIf(bool cond, const std::string &msg) { if (cond) panic(msg); }
 
 } // namespace wanify
 

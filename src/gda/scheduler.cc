@@ -26,31 +26,10 @@ estimateStageTime(const StageContext &ctx,
     fatalIf(fc != nullptr && fc->dcCount() != n,
             "estimateStageTime: forecast size mismatch");
 
-    // Aggregate WAN capacity per DC (first VM's throttle; transfers
-    // into/out of a DC share its NIC no matter what the per-pair BW
-    // says).
-    // The shuffle-endpoint NIC is shared across concurrent queries
-    // exactly like the links are (every query bills traffic to the
-    // same first VM), so the granted share scales it too.
-    std::vector<Mbps> wanCap(n, 1.0);
-    for (std::size_t d = 0; d < n; ++d) {
-        const auto &vms = ctx.topo->dc(d).vms;
-        if (!vms.empty())
-            wanCap[d] = std::max(
-                1.0,
-                ctx.topo->vm(vms.front()).type.wanCapMbps * ctx.wanShare);
-    }
-
     // Per destination: slowest inbound link (transfers overlap),
-    // floored by the aggregate ingress time, plus local compute on
-    // everything assigned there. Egress aggregation is folded in via
-    // the source side of the same pass.
-    std::vector<Bytes> outBytes(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            if (i != j)
-                outBytes[i] += assignment.at(i, j);
-
+    // floored by the aggregate ingress and egress times through the
+    // DC's WAN capacity, plus local compute on everything assigned
+    // there.
     Seconds worst = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
         Seconds slowestIn = 0.0;
@@ -81,10 +60,24 @@ estimateStageTime(const StageContext &ctx,
                                    ctx.bw->at(i, j) * ctx.wanShare));
             slowestIn = std::max(slowestIn, linkTime);
         }
-        const Seconds aggregateIn =
-            units::transferTime(inbound, wanCap[j]);
-        const Seconds aggregateOut =
-            units::transferTime(outBytes[j], wanCap[j]);
+        // Aggregate WAN capacity of DC j (first VM's throttle;
+        // transfers into/out of a DC share its NIC no matter what the
+        // per-pair BW says). The shuffle-endpoint NIC is shared across
+        // concurrent queries exactly like the links are (every query
+        // bills traffic to the same first VM), so the granted share
+        // scales it too.
+        Mbps wanCap = 1.0;
+        const auto &vms = ctx.topo->dc(j).vms;
+        if (!vms.empty())
+            wanCap = std::max(
+                1.0,
+                ctx.topo->vm(vms.front()).type.wanCapMbps * ctx.wanShare);
+        Bytes outbound = 0.0;
+        for (std::size_t k = 0; k < n; ++k)
+            if (k != j)
+                outbound += assignment.at(j, k);
+        const Seconds aggregateIn = units::transferTime(inbound, wanCap);
+        const Seconds aggregateOut = units::transferTime(outbound, wanCap);
         const Seconds network =
             std::max({slowestIn, aggregateIn, aggregateOut});
         const double rate = std::max(1.0e-9, ctx.computeRate[j]);

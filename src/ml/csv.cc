@@ -104,9 +104,9 @@ readCsv(std::istream &in)
                       std::to_string(lineNo));
             }
         }
-        fatalIf(x.size() != features || y.size() != targets,
-                "readCsv: wrong column count at line " +
-                    std::to_string(lineNo));
+        if (x.size() != features || y.size() != targets)
+            fatal("readCsv: wrong column count at line " +
+                  std::to_string(lineNo));
         data.add(std::move(x), std::move(y));
     }
     return data;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <utility>
 
 #include "common/error.hh"
 #include "ml/training_context.hh"
@@ -629,14 +629,21 @@ DecisionTreeRegressor::depth() const
 {
     if (nodes_.empty())
         return 0;
-    // Iterative depth computation over the node array.
-    std::function<std::size_t(int)> walk = [&](int idx) -> std::size_t {
+    // Explicit-stack walk of (node, depth) from the root.
+    std::vector<std::pair<int, std::size_t>> stack{{0, 1}};
+    std::size_t deepest = 0;
+    while (!stack.empty()) {
+        const auto [idx, d] = stack.back();
+        stack.pop_back();
         const Node &node = nodes_[static_cast<std::size_t>(idx)];
-        if (node.feature < 0)
-            return 1;
-        return 1 + std::max(walk(node.left), walk(node.right));
-    };
-    return walk(0);
+        if (node.feature < 0) {
+            deepest = std::max(deepest, d);
+            continue;
+        }
+        stack.emplace_back(node.left, d + 1);
+        stack.emplace_back(node.right, d + 1);
+    }
+    return deepest;
 }
 
 } // namespace ml

@@ -29,11 +29,11 @@ doubleBits(double v)
 void
 checkParallelRows(const BwTrace &trace, const char *who)
 {
-    fatalIf(trace.rows.size() != trace.times.size() ||
-                trace.rttRows.size() != trace.rows.size(),
-            std::string(who) +
-                ": times/rows/rttRows must stay parallel (build "
-                "traces through BwTrace::add)");
+    if (trace.rows.size() != trace.times.size() ||
+        trace.rttRows.size() != trace.rows.size())
+        fatal(std::string(who) +
+              ": times/rows/rttRows must stay parallel (build "
+              "traces through BwTrace::add)");
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "common/error.hh"
 #include "common/geo.hh"
@@ -62,6 +63,36 @@ TEST(Error, PanicThrowsPanicError)
     EXPECT_THROW(panic("bug"), PanicError);
     EXPECT_THROW(panicIf(true, "x"), PanicError);
     EXPECT_NO_THROW(panicIf(false, "x"));
+}
+
+/** what() of the exception @p f throws, or "" when it throws none. */
+template <typename E, typename F>
+std::string
+messageOf(F f)
+{
+    try {
+        f();
+    } catch (const E &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Error, FailingChecksKeepTheMessageText)
+{
+    // Literal messages take the const char * overloads; composed ones
+    // the std::string overloads. Both prefix the same way.
+    const std::string composed = "x";
+    EXPECT_EQ(messageOf<FatalError>([] { fatalIf(true, "x"); }),
+              "fatal: x");
+    EXPECT_EQ(messageOf<FatalError>([&] { fatalIf(true, composed); }),
+              "fatal: x");
+    EXPECT_EQ(messageOf<PanicError>([] { panicIf(true, "x"); }),
+              "panic: x");
+    EXPECT_EQ(messageOf<PanicError>([&] { panicIf(true, composed); }),
+              "panic: x");
+    EXPECT_NO_THROW(fatalIf(false, composed));
+    EXPECT_NO_THROW(panicIf(false, composed));
 }
 
 // ---- rng -------------------------------------------------------------------
@@ -159,6 +190,9 @@ TEST(Matrix, OutOfRangeAccessPanics)
     Matrix<int> m = Matrix<int>::square(2, 0);
     EXPECT_THROW(m.at(2, 0), PanicError);
     EXPECT_THROW(m.at(0, 2), PanicError);
+    const Matrix<int> &cm = m;
+    EXPECT_EQ(messageOf<PanicError>([&] { cm.at(0, 2); }),
+              "panic: Matrix::at out of range");
 }
 
 TEST(Matrix, OffDiagonalStats)

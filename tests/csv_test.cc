@@ -76,6 +76,19 @@ TEST(Csv, RejectsMalformedInput)
     }
 }
 
+TEST(Csv, WrongColumnCountNamesTheLine)
+{
+    // Header is line 1; the short row is line 4, after a blank line.
+    std::stringstream ss("a,b,y0\n1,2,3\n\n4,5\n6,7,8\n");
+    try {
+        readCsv(ss);
+        FAIL() << "readCsv accepted a short row";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(),
+                     "fatal: readCsv: wrong column count at line 4");
+    }
+}
+
 TEST(Csv, AnalyzerDatasetRoundTripsWithFeatureNames)
 {
     core::AnalyzerConfig cfg;
