@@ -27,6 +27,21 @@ faultKindName(FaultKind kind)
     return "unknown";
 }
 
+bool
+FaultEvent::killsTransfer(net::DcId from, net::DcId to) const
+{
+    switch (kind) {
+    case FaultKind::TransferAbort:
+        return (src == kAnyDc || static_cast<net::DcId>(src) == from) &&
+               (dst == kAnyDc || static_cast<net::DcId>(dst) == to);
+    case FaultKind::DcBlackout:
+        return static_cast<net::DcId>(dc) == from ||
+               static_cast<net::DcId>(dc) == to;
+    default:
+        return false;
+    }
+}
+
 const char *
 predictorModeName(PredictorMode mode)
 {

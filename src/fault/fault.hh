@@ -104,6 +104,11 @@ struct FaultEvent
      * splitmix64-derived seed. Zero = exact start.
      */
     Seconds startJitter = 0.0;
+
+    /** Whether this fault kills an in-flight from -> to transfer:
+     *  a TransferAbort whose selector matches the pair, or a
+     *  DcBlackout of either endpoint. */
+    bool killsTransfer(net::DcId from, net::DcId to) const;
 };
 
 /** A FaultEvent with its jitter resolved against the plan seed. */

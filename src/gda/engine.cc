@@ -220,18 +220,32 @@ makeStageContext(const net::Topology &topo, const JobSpec &job,
     return ctx;
 }
 
+ComputePhase
+computePhase(const StageSpec &spec, const Matrix<Bytes> &assignment,
+             const std::vector<double> &computeRate,
+             const std::vector<Seconds> &transferDone, Seconds now)
+{
+    const std::size_t n = assignment.rows();
+    ComputePhase phase;
+    phase.end = now;
+    phase.nextInput.assign(n, 0.0);
+    for (DcId j = 0; j < n; ++j) {
+        Bytes atJ = 0.0;
+        for (DcId i = 0; i < n; ++i)
+            atJ += assignment.at(i, j);
+        const double rate = std::max(1.0e-9, computeRate[j]);
+        const Seconds compute =
+            units::toMegabytes(atJ) * spec.workPerMb / rate;
+        phase.end = std::max(phase.end, transferDone[j] + compute);
+        phase.nextInput[j] = atJ * spec.selectivity;
+    }
+    return phase;
+}
+
 Engine::Engine(net::Topology topo, net::NetworkSimConfig simCfg,
                std::uint64_t seed)
     : topo_(std::move(topo)), simCfg_(simCfg), seed_(seed)
 {}
-
-StageContext
-Engine::makeContext(const JobSpec &job, std::size_t stageIdx,
-                    const std::vector<Bytes> &inputByDc,
-                    const Matrix<Mbps> &bw) const
-{
-    return makeStageContext(topo_, job, stageIdx, inputByDc, bw);
-}
 
 QueryResult
 Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
@@ -248,7 +262,6 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     std::uint64_t runSeed = seed_ + 0x9e37 * (++runCounter_);
     NetworkSim sim(topo_, simCfg_, runSeed);
     Rng rng(runSeed ^ 0xc0ffee);
-    const bool eventClock = opts.clock == ClockMode::EventDriven;
 
     // Scenario time zero is job start: install initial conditions
     // before WANify snapshots the network, so prediction and planning
@@ -414,20 +427,15 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         return true;
     };
 
-    // A transfer that exhausted its retry budget re-places its
-    // undelivered bytes as a fresh residual placement with the dead
-    // pair's believed bandwidth floored, so the fraction search routes
-    // around it (the replan-of-undelivered-bytes path, alternate-path
-    // flavor). No warm-start memory: the penalized belief has a
-    // different shape than the stage's original plan.
-    auto replanResidual = [&](DcId src, DcId dst, Bytes bytes) {
-        ++result.faultReplans;
-        std::vector<Bytes> residual(n, 0.0);
-        residual[src] = bytes;
-        Matrix<Mbps> penalized = opts.schedulerBw;
-        penalized.at(src, dst) = core::BwForecast::kMinFeasibleMbps;
+    // Place part of the current stage's input mid-flight (forecast-
+    // aware when enabled): add the placement to the assignment and
+    // start its off-diagonal transfers.
+    auto placeResidual = [&](const std::vector<Bytes> &residual,
+                             const Matrix<Mbps> &belief,
+                             PlanMemory *memory) {
         StageContext rctx =
-            makeContext(job, stageIdx, residual, penalized);
+            makeStageContext(topo_, job, stageIdx, residual, belief);
+        rctx.memory = memory;
         const core::BwForecast fc = buildForecast();
         if (!fc.empty()) {
             rctx.forecast = &fc;
@@ -445,6 +453,21 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 startShuffleTransfer(i, j, b, 0);
             }
         }
+    };
+
+    // A transfer that exhausted its retry budget re-places its
+    // undelivered bytes as a fresh residual placement with the dead
+    // pair's believed bandwidth floored, so the fraction search routes
+    // around it (the replan-of-undelivered-bytes path, alternate-path
+    // flavor). No warm-start memory: the penalized belief has a
+    // different shape than the stage's original plan.
+    auto replanResidual = [&](DcId src, DcId dst, Bytes bytes) {
+        ++result.faultReplans;
+        std::vector<Bytes> residual(n, 0.0);
+        residual[src] = bytes;
+        Matrix<Mbps> penalized = opts.schedulerBw;
+        penalized.at(src, dst) = core::BwForecast::kMinFeasibleMbps;
+        placeResidual(residual, penalized, nullptr);
     };
 
     // Kill one in-flight transfer: retire its delivered part, drop the
@@ -507,6 +530,16 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         }
     };
 
+    // Install each agent's plan targets and restart its AIMD window,
+    // skipping the agents of DCs flagged in @p skip.
+    auto rearmAgents = [&](const std::vector<char> &skip) {
+        for (auto &agent : agents) {
+            if (skip[agent->sourceDc()])
+                continue;
+            agent->applyTargets();
+            agent->resetWindow();
+        }
+    };
     auto crashAgentAt = [&](int dc) {
         ++result.agentCrashes;
         if (agentCrashed[static_cast<std::size_t>(dc)])
@@ -519,18 +552,15 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 sim.setTcLimit(static_cast<DcId>(dc), j, 0.0);
     };
     auto restartCrashedAgents = [&](Seconds t) {
+        std::vector<char> stillDown(n, 1);
         for (DcId dc = 0; dc < n; ++dc) {
             if (!agentCrashed[dc] || faults->agentCrashedAt(
                                          static_cast<int>(dc), t))
                 continue;
             agentCrashed[dc] = 0;
-            for (auto &agent : agents) {
-                if (agent->sourceDc() != dc)
-                    continue;
-                agent->applyTargets();
-                agent->resetWindow();
-            }
+            stillDown[dc] = 0;
         }
+        rearmAgents(stillDown);
     };
     // Crashed agents must not re-throttle, so a redeploy (which
     // installs fresh static throttles for every DC) re-clears theirs.
@@ -555,24 +585,13 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             const fault::CompiledFault &cf = faults->events()[fi];
             ++result.faultsInjected;
             switch (cf.ev.kind) {
+            case fault::FaultKind::DcBlackout:
+                ++result.blackouts;
+                [[fallthrough]];
             case fault::FaultKind::TransferAbort: {
                 std::vector<TransferId> hit;
                 for (const auto &[id, tr] : pending)
-                    if ((cf.ev.src == fault::kAnyDc ||
-                         static_cast<DcId>(cf.ev.src) == tr.src) &&
-                        (cf.ev.dst == fault::kAnyDc ||
-                         static_cast<DcId>(cf.ev.dst) == tr.dst))
-                        hit.push_back(id);
-                for (const TransferId id : hit)
-                    abortTransfer(id);
-                break;
-            }
-            case fault::FaultKind::DcBlackout: {
-                ++result.blackouts;
-                std::vector<TransferId> hit;
-                for (const auto &[id, tr] : pending)
-                    if (tr.src == static_cast<DcId>(cf.ev.dc) ||
-                        tr.dst == static_cast<DcId>(cf.ev.dc))
+                    if (cf.ev.killsTransfer(tr.src, tr.dst))
                         hit.push_back(id);
                 for (const TransferId id : hit)
                     abortTransfer(id);
@@ -588,6 +607,15 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         }
         faultCursor = std::max(faultCursor, t);
         restartCrashedAgents(t);
+    };
+
+    // Re-plan and redeploy WANify from @p belief; crashed agents stay
+    // down.
+    auto redeploy = [&](const Matrix<Mbps> &belief) {
+        plan = opts.wanify->plan(belief, opts.skewWeights, opts.rvec);
+        deployment = opts.wanify->deploy(sim, plan, belief);
+        rearmAgents(agentCrashed);
+        clearCrashedThrottles();
     };
 
     // The online learning loop (Section 3.3.4), invoked when the
@@ -634,16 +662,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                             belief.at(i, j) =
                                 opts.schedulerBw.at(i, j);
                 deployment.clear(sim);
-                plan = opts.wanify->plan(belief, opts.skewWeights,
-                                         opts.rvec);
-                deployment = opts.wanify->deploy(sim, plan, belief);
-                for (auto &agent : agents) {
-                    if (agentCrashed[agent->sourceDc()])
-                        continue;
-                    agent->applyTargets();
-                    agent->resetWindow();
-                }
-                clearCrashedThrottles();
+                redeploy(belief);
                 predicted = belief;
                 // Do not trend.record(): feeding extrapolations back
                 // into the trend would let the ladder hallucinate.
@@ -714,20 +733,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 meanAbsOffDiag(gaugeB.predicted, gaugeB.stable);
             ++result.retrainsApplied;
             predicted = gaugeB.predicted;
-
-            plan = opts.wanify->plan(predicted, opts.skewWeights,
-                                     opts.rvec);
-            deployment =
-                opts.wanify->deploy(sim, plan, predicted);
-            for (auto &agent : agents) {
-                if (faults != nullptr &&
-                    agentCrashed[agent->sourceDc()])
-                    continue;
-                agent->applyTargets();
-                agent->resetWindow();
-            }
-            if (faults != nullptr)
-                clearCrashedThrottles();
+            redeploy(predicted);
             }
             trend.record(sim.now(), predicted);
             // A gauge landed: the predictor proved itself, so the
@@ -742,7 +748,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             // where they landed; the effective assignment matrix is
             // updated so the compute phase and the next stage's
             // input see the true landing spots.
-            if (opts.forecast.enabled && opts.replanOnRetrain) {
+            if (opts.forecast.enabled) {
                 std::vector<Bytes> residual(n, 0.0);
                 std::vector<TransferId> liveIds;
                 for (const auto &[id, t] : pending) {
@@ -765,27 +771,8 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                         retired.push_back(part);
                         pending.erase(id);
                     }
-                    StageContext rctx = makeContext(
-                        job, stageIdx, residual, opts.schedulerBw);
-                    rctx.memory = &planMemory;
-                    const core::BwForecast fc = buildForecast();
-                    if (!fc.empty()) {
-                        rctx.forecast = &fc;
-                        rctx.planTime = sim.now();
-                    }
-                    const Matrix<Bytes> replaced =
-                        scheduler.placeStage(rctx);
-                    for (DcId i = 0; i < n; ++i) {
-                        for (DcId j = 0; j < n; ++j) {
-                            const Bytes bytes = replaced.at(i, j);
-                            if (bytes < 1.0)
-                                continue;
-                            assignment.at(i, j) += bytes;
-                            if (i == j)
-                                continue;
-                            startShuffleTransfer(i, j, bytes, 0);
-                        }
-                    }
+                    placeResidual(residual, opts.schedulerBw,
+                                  &planMemory);
                 }
             }
             nextEpoch = sim.now();
@@ -808,7 +795,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         applyFaultsUpTo(sim.now());
 
         StageContext ctx =
-            makeContext(job, s, stageInput, opts.schedulerBw);
+            makeStageContext(topo_, job, s, stageInput, opts.schedulerBw);
         ctx.memory = &planMemory;
         const core::BwForecast stageForecast = buildForecast();
         if (!stageForecast.empty()) {
@@ -828,26 +815,18 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 startShuffleTransfer(i, j, bytes, 0);
             }
         }
-        for (auto &agent : agents) {
-            if (faults != nullptr && agentCrashed[agent->sourceDc()])
-                continue;
-            agent->applyTargets();
-            agent->resetWindow();
-        }
+        rearmAgents(agentCrashed);
 
         const Seconds shuffleStart = sim.now();
         const Seconds guardEnd = shuffleStart + opts.maxStageSeconds;
 
-        // Both clock modes run the same loop over an EventClock; the
-        // epoch-quantized mode simply never schedules dynamics edges,
-        // which reduces the queue to the legacy min(nextEpoch,
-        // guardEnd) stride — identical runUntilAllComplete targets,
-        // identical arithmetic (each tick is pushed at the popped
-        // tick's time + epoch, the same accumulation the legacy
-        // `nextEpoch += epoch` performed).
+        // The shuffle runs on one EventClock: the stage guard, AIMD
+        // epoch ticks (each pushed at the popped tick's time + epoch),
+        // the dynamics' change points, fault edges, and retry due
+        // times, each handled at its true instant.
         clock.push(guardEnd, ClockEventKind::StageGuard);
         clock.push(shuffleStart + epoch, ClockEventKind::EpochTick);
-        if (eventClock && opts.dynamics != nullptr) {
+        if (opts.dynamics != nullptr) {
             std::vector<scenario::ChangePoint> edges;
             opts.dynamics->changePointsIn(shuffleStart, guardEnd,
                                           edges);
@@ -858,9 +837,6 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                                : ClockEventKind::BurstEdge);
         }
         if (faults != nullptr) {
-            // Fault starts and window-clear instants are first-class
-            // events in BOTH clock modes: recovery must not wait for
-            // the epoch grid.
             std::vector<Seconds> faultEdges;
             faults->edgesIn(shuffleStart, guardEnd, faultEdges);
             for (const Seconds t : faultEdges)
@@ -918,8 +894,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             Seconds tickBase = ev.time;
             applyFaultsUpTo(sim.now());
             for (auto &agent : agents) {
-                if (faults != nullptr &&
-                    agentCrashed[agent->sourceDc()])
+                if (agentCrashed[agent->sourceDc()])
                     continue;
                 agent->onEpoch();
             }
@@ -993,29 +968,16 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         }
 
         // --- compute phase ------------------------------------------------
-        std::vector<Bytes> nextInput(n, 0.0);
-        Seconds stageEnd = sim.now();
-        for (DcId j = 0; j < n; ++j) {
-            Bytes atJ = 0.0;
-            for (DcId i = 0; i < n; ++i)
-                atJ += assignment.at(i, j);
-            const double rate = std::max(1.0e-9, ctx.computeRate[j]);
-            const Seconds compute =
-                units::toMegabytes(atJ) * spec.workPerMb / rate;
-            stageEnd = std::max(stageEnd, transferDone[j] + compute);
-            nextInput[j] = atJ * spec.selectivity;
-        }
-        if (eventClock && opts.dynamics != nullptr) {
+        ComputePhase compute = computePhase(
+            spec, assignment, ctx.computeRate, transferDone, sim.now());
+        const Seconds stageEnd = compute.end;
+        if (opts.dynamics != nullptr) {
             // Step through the window's burst edges so flash crowds
             // open and close at their true instants even though the
-            // job itself moves no bytes here — the case the epoch
-            // clock structurally cannot express (a burst opening
-            // mid-compute used to wait for the phase to end). Factor
-            // edges only matter mid-compute while burst flows are
-            // live; with an idle mesh they are batched to the phase
-            // end exactly as the epoch clock does, which keeps the
-            // two clocks bit-identical on burst-free windows (no
-            // extra advanceBy splits).
+            // job itself moves no bytes here. Factor edges only
+            // matter mid-compute while burst flows are live; with an
+            // idle mesh they are batched to the phase end (no extra
+            // advanceBy splits).
             std::vector<scenario::ChangePoint> edges;
             opts.dynamics->changePointsIn(sim.now(), stageEnd, edges);
             std::stable_sort(
@@ -1038,9 +1000,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             sim.advanceBy(stageEnd - sim.now());
         // Keep the scenario clock current through the compute phase
         // so the next stage's shuffle starts under the right
-        // conditions (for the epoch clock this is the only dynamics
-        // application of the phase: rates only matter while
-        // transfers are active).
+        // conditions.
         dynamics.advanceTo(sim.now());
         // Crashes and recoveries during the compute phase land here;
         // transfer-killing faults are no-ops (everything delivered).
@@ -1048,7 +1008,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         stageResult.end = sim.now();
 
         result.stages.push_back(stageResult);
-        stageInput = std::move(nextInput);
+        stageInput = std::move(compute.nextInput);
     }
 
     if (opts.wanify != nullptr)

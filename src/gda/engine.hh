@@ -157,24 +157,15 @@ struct QueryResult
 };
 
 /**
- * How the engine advances scenario time.
- *
- * EpochQuantized is the legacy clock: the simulator runs in AIMD-epoch
- * strides and dynamics are applied at whatever instant each stride
- * ends, so a scripted change taking effect mid-epoch is seen up to one
- * epoch late and a burst opening inside a compute phase is missed
- * until the phase ends. EventDriven schedules epoch ticks, the stage
- * guard, and the dynamics' discrete change points
- * (Dynamics::changePointsIn) on a gda::EventClock and pops them in
- * deterministic (time, kind, seq) order, so conditions change at
- * their true times and flash crowds can open mid-compute and span
- * stage boundaries. When every change point lands on the epoch grid
- * the two modes are bit-identical (the golden parity test holds the
- * engine to that).
+ * How the engine advances scenario time. The engine has one clock:
+ * epoch ticks, the stage guard, fault edges and the dynamics' discrete
+ * change points (Dynamics::changePointsIn) are scheduled on a
+ * gda::EventClock and popped in deterministic (time, kind, seq) order,
+ * so conditions change at their true times and flash crowds can open
+ * mid-compute and span stage boundaries.
  */
 enum class ClockMode
 {
-    EpochQuantized,
     EventDriven,
 };
 
@@ -208,10 +199,11 @@ struct RunOptions
 
     /**
      * Non-stationary WAN dynamics (scenario timeline or trace
-     * replay) advanced every AIMD epoch. Scenario time zero is
-     * simulator start: WANify's initial measurement snapshot (~1 s)
-     * runs *inside* scenario time, so prediction sees the scenario's
-     * opening conditions and the job starts shortly after t = 0.
+     * replay) applied at its change points and every AIMD epoch.
+     * Scenario time zero is simulator start: WANify's initial
+     * measurement snapshot (~1 s) runs *inside* scenario time, so
+     * prediction sees the scenario's opening conditions and the job
+     * starts shortly after t = 0.
      * Null = stationary OU noise only.
      */
     const scenario::Dynamics *dynamics = nullptr;
@@ -224,19 +216,14 @@ struct RunOptions
      * attached (simulation mode), else from the per-pair trend of
      * this run's predicted/gauged matrices (deployed mode) — and the
      * fraction-search schedulers warm-start each stage from the plan
-     * they previously found for it.
-     */
-    core::ForecastConfig forecast;
-
-    /**
-     * With forecast planning and adaptOnDrift both on: after a
-     * retrain redeploys, stop the stage's unfinished transfers,
-     * re-place the undelivered bytes under the retrained belief
-     * (warm-started from the original plan) and restart them — the
+     * they previously found for it. With adaptOnDrift also on, a
+     * retrain that redeploys mid-stage stops the stage's unfinished
+     * transfers and re-places only their undelivered bytes under the
+     * retrained belief (warm-started from the original plan) — the
      * incremental re-plan, instead of letting a stale placement run
      * to completion.
      */
-    bool replanOnRetrain = true;
+    core::ForecastConfig forecast;
 
     /**
      * When the drift detector trips mid-run (WANify deployed, no
@@ -291,12 +278,10 @@ struct RunOptions
     Seconds maxStageSeconds = 6.0 * 3600.0;
 
     /**
-     * Dynamics clock (see ClockMode). EpochQuantized by default so
-     * every existing bench and golden keeps its exact trajectory;
-     * scenario studies that care about sub-epoch timing opt into
-     * EventDriven.
+     * Dynamics clock (see ClockMode). Single-valued and inert: kept
+     * only because the end-to-end benchmark still assigns it.
      */
-    ClockMode clock = ClockMode::EpochQuantized;
+    ClockMode clock = ClockMode::EventDriven;
 };
 
 /**
@@ -321,6 +306,29 @@ StageContext makeStageContext(const net::Topology &topo,
                               const std::vector<Bytes> &inputByDc,
                               const Matrix<Mbps> &bw);
 
+/** Outcome of one stage's compute phase. */
+struct ComputePhase
+{
+    /** Stage end: the latest DC's input arrival plus its compute. */
+    Seconds end = 0.0;
+
+    /** The next stage's input per DC (landed bytes x selectivity). */
+    std::vector<Bytes> nextInput;
+};
+
+/**
+ * The stage compute model shared by Engine::run and the serve layer:
+ * DC j processes every byte assigned to it (column j of
+ * @p assignment) at @p computeRate[j] once its last input lands at
+ * @p transferDone[j]; the stage ends when the slowest DC does, and
+ * never before @p now.
+ */
+ComputePhase computePhase(const StageSpec &spec,
+                          const Matrix<Bytes> &assignment,
+                          const std::vector<double> &computeRate,
+                          const std::vector<Seconds> &transferDone,
+                          Seconds now);
+
 class Engine
 {
   public:
@@ -338,10 +346,6 @@ class Engine
     const net::Topology &topology() const { return topo_; }
 
   private:
-    StageContext makeContext(const JobSpec &job, std::size_t stageIdx,
-                             const std::vector<Bytes> &inputByDc,
-                             const Matrix<Mbps> &bw) const;
-
     net::Topology topo_;
     net::NetworkSimConfig simCfg_;
     std::uint64_t seed_;

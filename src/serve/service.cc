@@ -159,33 +159,22 @@ Service::applyFaults()
     if (started.empty())
         return;
 
+    // Gauge faults gate maybeRetrain at its own boundary, and there
+    // is no per-query AIMD agent to crash on a shared mesh: only
+    // transfer-killing faults act here.
     std::vector<std::size_t> victims;
     for (const std::size_t fi : started) {
-        const fault::CompiledFault &cf = cfg_.faults->events()[fi];
-        // Gauge faults gate maybeRetrain at its own boundary; there
-        // is no per-query AIMD agent to crash on a shared mesh.
-        if (cf.ev.kind != fault::FaultKind::TransferAbort &&
-            cf.ev.kind != fault::FaultKind::DcBlackout)
-            continue;
+        const fault::FaultEvent &ev = cfg_.faults->events()[fi].ev;
         for (const std::size_t idx : active_) {
-            QueryState &q = queries_[idx];
+            const QueryState &q = queries_[idx];
             if (q.phase != Phase::Shuffling)
                 continue;
-            bool hit = false;
             for (const auto &[id, t] : q.pending) {
-                if (cf.ev.kind == fault::FaultKind::DcBlackout)
-                    hit = t.src == static_cast<DcId>(cf.ev.dc) ||
-                          t.dst == static_cast<DcId>(cf.ev.dc);
-                else
-                    hit = (cf.ev.src == fault::kAnyDc ||
-                           static_cast<DcId>(cf.ev.src) == t.src) &&
-                          (cf.ev.dst == fault::kAnyDc ||
-                           static_cast<DcId>(cf.ev.dst) == t.dst);
-                if (hit)
+                if (ev.killsTransfer(t.src, t.dst)) {
+                    victims.push_back(idx);
                     break;
+                }
             }
-            if (hit)
-                victims.push_back(idx);
         }
     }
     std::sort(victims.begin(), victims.end());
@@ -351,15 +340,6 @@ Service::transitionComputedQueries()
         if (q.phase != Phase::Computing ||
             q.stageEnd > now + kTimeEps)
             continue;
-        const gda::StageSpec &spec = q.spec.job.stages[q.stage];
-        std::vector<Bytes> next(topo_.dcCount(), 0.0);
-        for (DcId j = 0; j < topo_.dcCount(); ++j) {
-            Bytes atJ = 0.0;
-            for (DcId i = 0; i < topo_.dcCount(); ++i)
-                atJ += q.assignment.at(i, j);
-            next[j] = atJ * spec.selectivity;
-        }
-        q.stageInput = std::move(next);
         ++q.stage;
         if (q.stage >= q.spec.job.stages.size())
             finishQuery(q, q.stageEnd, false);
@@ -396,27 +376,22 @@ Service::planAndLaunch()
             snapshot.at(i, j) =
                 i == j ? 0.0 : sim_.effectivePathCap(i, j);
 
-    // A-priori share estimate for planning. Adaptive (default): the
-    // fraction of a contended link this query would win against the
-    // *observed* mesh occupancy — the queries shuffling right now
-    // plus this round's co-planning cohort. Compute-phase neighbors
-    // don't dilute the estimate, so a query planning its next stage
-    // while most peers crunch locally sees a realistic share and
-    // stays network-differentiable (a mass admission still seeds
-    // conservatively: the whole cohort is in the denominator).
-    // Legacy: 1 / (sum of every active weight), which kept small
-    // mixed-workload queries planned so defensively they went
-    // compute-bound and the weighted allocator had nothing left to
-    // differentiate. Either way the allocator's water-fill then
-    // enforces the real shares from the transfers actually started.
-    double weightSum = 0.0;
+    // A-priori share estimate for planning: the fraction of a
+    // contended link this query would win against the *observed*
+    // mesh occupancy — the queries shuffling right now plus this
+    // round's co-planning cohort. Compute-phase neighbors don't
+    // dilute the estimate, so a query planning its next stage while
+    // most peers crunch locally sees a realistic share and stays
+    // network-differentiable (a mass admission still seeds
+    // conservatively: the whole cohort is in the denominator). The
+    // allocator's water-fill then enforces the real shares from the
+    // transfers actually started.
     double occupiedWeight = 0.0;
     for (const std::size_t idx : active_) {
         const QueryState &o = queries_[idx];
         const double w = cfg_.policy == AllocPolicy::WeightedPriority
                              ? o.spec.weight
                              : 1.0;
-        weightSum += w;
         if (o.phase == Phase::Shuffling && !o.pending.empty())
             occupiedWeight += w;
         else if (o.phase == Phase::Planning)
@@ -434,10 +409,7 @@ Service::planAndLaunch()
                 cfg_.policy == AllocPolicy::WeightedPriority
                     ? q.spec.weight
                     : 1.0;
-            q.share = cfg_.adaptiveAprioriShare
-                          ? std::min(1.0,
-                                     w / std::max(w, occupiedWeight))
-                          : (weightSum > 0.0 ? w / weightSum : 1.0);
+            q.share = std::min(1.0, w / std::max(w, occupiedWeight));
             q.outcome.minPlanningShare =
                 std::min(q.outcome.minPlanningShare, q.share);
 
@@ -598,19 +570,13 @@ Service::routeCompletions()
 void
 Service::enterComputePhase(QueryState &q)
 {
-    const gda::StageSpec &spec = q.spec.job.stages[q.stage];
-    Seconds stageEnd = sim_.now();
-    for (DcId j = 0; j < topo_.dcCount(); ++j) {
-        Bytes atJ = 0.0;
-        for (DcId i = 0; i < topo_.dcCount(); ++i)
-            atJ += q.assignment.at(i, j);
-        const double rate = std::max(1.0e-9, computeRate_[j]);
-        const Seconds compute =
-            units::toMegabytes(atJ) * spec.workPerMb / rate;
-        stageEnd =
-            std::max(stageEnd, q.transferDone[j] + compute);
-    }
-    q.stageEnd = stageEnd;
+    gda::ComputePhase compute =
+        gda::computePhase(q.spec.job.stages[q.stage], q.assignment,
+                          computeRate_, q.transferDone, sim_.now());
+    q.stageEnd = compute.end;
+    // The next stage's input is fixed once the shuffle lands; it is
+    // only read when the query plans again.
+    q.stageInput = std::move(compute.nextInput);
     q.phase = Phase::Computing;
     // The query's WAN appetite is gone; free its share for the rest.
     allocator_.release(sim_, q.group);

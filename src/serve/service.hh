@@ -160,18 +160,6 @@ struct ServiceConfig
     double admissionTrough = 0.6;
     Seconds maxAdmissionHold = 120.0;
 
-    /**
-     * Seed each query's a-priori planning wanShare from observed
-     * mesh occupancy — its weight against the weights of the queries
-     * actually shuffling right now — instead of the defensive 1 / N
-     * over every active query. The 1/N floor kept small queries
-     * planned so conservatively they went compute-bound, which
-     * erased the weighted allocator's differentiation on mixed
-     * workloads. The allocator's water-fill still enforces the real
-     * shares afterwards.
-     */
-    bool adaptiveAprioriShare = true;
-
     // --- online model refresh --------------------------------------------
 
     /**

@@ -1,16 +1,16 @@
 /**
  * @file
- * Tests for the event-driven dynamics clock: the EventClock's
- * deterministic (time, kind, seq) pop order, the engine's golden
- * parity contract (EventDriven bit-identical to EpochQuantized when
- * every change point lands on the epoch tick grid), and the sub-epoch
- * semantics the event clock adds — a flash crowd opening mid-compute
- * and expiring mid-shuffle changes delivery exactly as hand-computed.
+ * Tests for the engine's event-driven dynamics clock: the EventClock's
+ * deterministic (time, kind, seq) pop order, hex-exact engine goldens
+ * over the scenario library, and sub-epoch semantics — a flash crowd
+ * opening mid-compute and expiring mid-shuffle changes delivery
+ * exactly as hand-computed.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -224,16 +224,48 @@ TEST(EventClock, RejectsNanAndEmptyAccess)
     EXPECT_THROW(clock.pop(), PanicError);
 }
 
-// ---- engine golden parity --------------------------------------------------
+// ---- engine goldens ---------------------------------------------------------
 
-TEST(EngineEventClock, BitIdenticalToEpochClockOnScenarioLibrary)
+TEST(EngineEventClock, MatchesFrozenGoldensOnScenarioLibrary)
 {
-    // Every library scenario scripts its events at integer seconds
-    // with no start jitter, and a single-stage job with wanify unset
-    // runs its shuffle from t = 0 with a 1-second epoch — so every
-    // discrete change point lands exactly on the tick grid. There the
-    // event clock's extra wake-ups must be idempotent no-ops and the
-    // two clock modes bit-identical, OU fluctuation included.
+    // A single-stage spread shuffle on 8 DCs under every library
+    // scenario. The values were frozen when a per-epoch clock still
+    // existed and agreed with the event clock bit for bit on these
+    // runs (every scripted change point lands on the 1-second tick
+    // grid), so they pin the event clock's trajectory exactly.
+    struct Golden
+    {
+        const char *scenario;
+        double latency, cost, minObservedBw;
+        double start, transferEnd, end, wanBytes;
+    };
+    const Golden kGolden[] = {
+        {"steady", 0x1.b06769e56d4ep+7, 0x1.1099e0c98a8dbp+3,
+         0x1.3dd937d457e7ap+6, 0x0p+0, 0x1.b06769e56d4ep+7,
+         0x1.b06769e56d4ep+7, 0x1.cp+36},
+        {"diurnal", 0x1.b06769e56d4ep+7, 0x1.1099e0c98a8dbp+3,
+         0x1.3dd937d457e7ap+6, 0x0p+0, 0x1.b06769e56d4ep+7,
+         0x1.b06769e56d4ep+7, 0x1.cp+36},
+        {"degrading-link", 0x1.b06769e56d4ep+7, 0x1.1099e0c98a8dbp+3,
+         0x1.3dd937d457e7ap+6, 0x0p+0, 0x1.b06769e56d4ep+7,
+         0x1.b06769e56d4ep+7, 0x1.cp+36},
+        {"dc-outage", 0x1.b06769e56d4ep+7, 0x1.1099e0c98a8dbp+3,
+         0x1.3dd937d457e7ap+6, 0x0p+0, 0x1.b06769e56d4ep+7,
+         0x1.b06769e56d4ep+7, 0x1.cp+36},
+        {"flash-crowd", 0x1.e526c058ab7dfp+7, 0x1.10e069b015978p+3,
+         0x1.1b4a76551731fp+6, 0x0p+0, 0x1.e526c058ab7dfp+7,
+         0x1.e526c058ab7dfp+7, 0x1.cp+36},
+        {"maintenance", 0x1.b06769e56d4ep+7, 0x1.1099e0c98a8dbp+3,
+         0x1.3dd937d457e7ap+6, 0x0p+0, 0x1.b06769e56d4ep+7,
+         0x1.b06769e56d4ep+7, 0x1.cp+36},
+        {"rtt-storm", 0x1.b06769e56d4e1p+7, 0x1.1099e0c98a8dbp+3,
+         0x1.3dd937d457e79p+6, 0x0p+0, 0x1.b06769e56d4e1p+7,
+         0x1.b06769e56d4e1p+7, 0x1.cp+36},
+        {"cascading", 0x1.b06769e56d4ep+7, 0x1.1099e0c98a8dbp+3,
+         0x1.3dd937d457e7ap+6, 0x0p+0, 0x1.b06769e56d4ep+7,
+         0x1.b06769e56d4ep+7, 0x1.cp+36},
+    };
+
     const auto topo = workerCluster(8, 1);
     const std::size_t n = 8;
 
@@ -243,28 +275,29 @@ TEST(EngineEventClock, BitIdenticalToEpochClockOnScenarioLibrary)
     job.inputBytes = units::gigabytes(16.0) * n;
     const std::vector<Bytes> input(n, units::gigabytes(16.0));
 
-    bool sawTraffic = false;
-    for (const std::string &name : scenario::libraryScenarioNames()) {
-        SCOPED_TRACE(name);
+    ASSERT_EQ(scenario::libraryScenarioNames().size(),
+              std::size(kGolden));
+    for (const Golden &g : kGolden) {
+        SCOPED_TRACE(g.scenario);
         const scenario::ScenarioTimeline timeline(
-            scenario::libraryScenario(name), n, 77);
+            scenario::libraryScenario(g.scenario), n, 77);
 
         SpreadScheduler spread;
         gda::RunOptions opts;
         opts.schedulerBw = Matrix<Mbps>::square(n, 400.0);
         opts.dynamics = &timeline;
 
-        gda::Engine epochEngine(topo, defaultSimConfig(), 1234);
-        gda::Engine eventEngine(topo, defaultSimConfig(), 1234);
-        opts.clock = gda::ClockMode::EpochQuantized;
-        const auto a = epochEngine.run(job, input, spread, opts);
-        opts.clock = gda::ClockMode::EventDriven;
-        const auto b = eventEngine.run(job, input, spread, opts);
-
-        expectIdenticalResults(a, b);
-        sawTraffic = sawTraffic || a.minObservedBw > 0.0;
+        gda::Engine engine(topo, defaultSimConfig(), 1234);
+        const auto r = engine.run(job, input, spread, opts);
+        EXPECT_EQ(r.latency, g.latency);
+        EXPECT_EQ(r.cost.total(), g.cost);
+        EXPECT_EQ(r.minObservedBw, g.minObservedBw);
+        ASSERT_EQ(r.stages.size(), 1u);
+        EXPECT_EQ(r.stages[0].start, g.start);
+        EXPECT_EQ(r.stages[0].transferEnd, g.transferEnd);
+        EXPECT_EQ(r.stages[0].end, g.end);
+        EXPECT_EQ(r.stages[0].wanBytes, g.wanBytes);
     }
-    EXPECT_TRUE(sawTraffic);
 }
 
 TEST(EngineEventClock, EventModeDeterministicAcrossRuns)
@@ -284,7 +317,6 @@ TEST(EngineEventClock, EventModeDeterministicAcrossRuns)
     gda::RunOptions opts;
     opts.schedulerBw = Matrix<Mbps>::square(n, 400.0);
     opts.dynamics = &timeline;
-    opts.clock = gda::ClockMode::EventDriven;
 
     gda::Engine engineA(topo, defaultSimConfig(), 55);
     gda::Engine engineB(topo, defaultSimConfig(), 55);
@@ -300,12 +332,10 @@ TEST(EngineEventClock, MidStageBurstChangesDeliveryAsHandComputed)
 {
     // A flash crowd opens mid-way through stage 1's compute phase and
     // expires mid-way between two epoch ticks of stage 2's shuffle.
-    // The event clock must open it at its true start (inside the
-    // compute window, where the epoch clock structurally cannot) and
-    // close it at its true end, so stage 2's only transfer runs at
-    // the hand-computed shared rate until exactly the burst end and
-    // at its solo rate afterwards. The epoch clock keeps the burst
-    // open until the next tick and must finish measurably later.
+    // The engine must open it at its true start (inside the compute
+    // window) and close it at its true end, so stage 2's only
+    // transfer runs at the hand-computed shared rate until exactly
+    // the burst end and at its solo rate afterwards.
     const auto topo = workerCluster(2, 1);
     net::NetworkSimConfig simCfg = quietSimConfig();
 
@@ -364,20 +394,14 @@ TEST(EngineEventClock, MidStageBurstChangesDeliveryAsHandComputed)
     opts.schedulerBw = Matrix<Mbps>::square(2, 400.0);
     opts.dynamics = &dynamics;
 
-    opts.clock = gda::ClockMode::EventDriven;
-    gda::Engine eventEngine(topo, simCfg, 3);
-    const auto ev = eventEngine.run(job, input, route, opts);
-    opts.clock = gda::ClockMode::EpochQuantized;
-    gda::Engine epochEngine(topo, simCfg, 3);
-    const auto ep = epochEngine.run(job, input, route, opts);
+    gda::Engine engine(topo, simCfg, 3);
+    const auto ev = engine.run(job, input, route, opts);
 
     ASSERT_EQ(ev.stages.size(), 2u);
-    ASSERT_EQ(ep.stages.size(), 2u);
     EXPECT_NEAR(ev.stages[1].start, computeEnd, 1e-9);
-    EXPECT_NEAR(ep.stages[1].start, computeEnd, 1e-9);
 
-    // Event clock: shared rate over (start, burstEnd], solo connCap
-    // for the remainder — piecewise-exact delivery.
+    // Shared rate over (start, burstEnd], solo connCap for the
+    // remainder — piecewise-exact delivery.
     const Seconds sharedWindow = burstEnd - ev.stages[1].start;
     const Bytes atBurstEnd = units::bytesAtRate(rShared, sharedWindow);
     ASSERT_GT(inputBytes, atBurstEnd); // still in flight at the end
@@ -386,24 +410,8 @@ TEST(EngineEventClock, MidStageBurstChangesDeliveryAsHandComputed)
                        (cc * units::kBitsPerMegabit);
     EXPECT_NEAR(ev.stages[1].transferEnd, eventExpected, 2e-3);
 
-    // Epoch clock: the burst stays open until the first tick at or
-    // after its end — a full half-second of extra contention.
-    const Seconds epochClose = ep.stages[1].start + 3.0;
-    const Bytes atEpochClose =
-        units::bytesAtRate(rShared, epochClose - ep.stages[1].start);
-    ASSERT_GT(inputBytes, atEpochClose);
-    const Seconds epochExpected =
-        epochClose + (inputBytes - atEpochClose) *
-                         units::kBitsPerByte /
-                         (cc * units::kBitsPerMegabit);
-    EXPECT_NEAR(ep.stages[1].transferEnd, epochExpected, 2e-3);
-    EXPECT_GT(ep.stages[1].transferEnd - ev.stages[1].transferEnd,
-              0.1);
-
     // Burst traffic is other tenants' data: the query is billed its
-    // own 400 MB on (0, 1) in both modes, nothing more.
+    // own 400 MB on (0, 1), nothing more.
     EXPECT_NEAR(ev.wanBytesByPair.at(0, 1), inputBytes,
-                inputBytes * 1e-6);
-    EXPECT_NEAR(ep.wanBytesByPair.at(0, 1), inputBytes,
                 inputBytes * 1e-6);
 }
