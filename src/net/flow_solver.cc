@@ -237,13 +237,25 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
     // each flow's self-cap event sits at the constant key
     // selfCap_f / weight_f, and each resource's saturation key
     // (cap_r - frozenUsed_r) / wsum_r only moves when one of its
-    // flows freezes. A lazy min-heap over those keys replaces the
-    // naive per-step rescan of every resource and flow — O((flows +
+    // flows freezes. A min-heap over those keys replaces the naive
+    // per-step rescan of every resource and flow — O((flows +
     // resources) log) total instead of O(flows * (memberships +
     // resources)) — which is most of bench_perf_mesh_scale's
-    // resolveRates win at 128-256 DCs. Ties pop flows before
-    // resources, then ascending id, so same-key freezes keep the
-    // naive loop's deterministic order.
+    // resolveRates win at 128-256 DCs. Events pop in the total order
+    // (key, kind, id): ties pop flows before resources, then
+    // ascending id, so same-key freezes keep the naive loop's
+    // deterministic order.
+    //
+    // Each resource keeps one queued entry, at queuedKey_r <= satKey_r.
+    // A freeze at theta <= K = satKey_r can only raise the key:
+    // (C - U - w theta) / (W - w) >= K. So a freeze re-keys without
+    // pushing, unless rounding moved the key below queuedKey_r. When
+    // the queued entry pops below the current key it is re-pushed at
+    // that key; when it pops at the key, the resource saturates. Every
+    // live resource's (satKey_r, 1, r) has a heap entry at or below
+    // it, so the first effective event is always the least of them
+    // and the flow events: the same freezes, in the same order, as
+    // queuing every re-key.
     std::size_t remaining = 0;
     for (std::size_t f = 0; f < nf; ++f)
         remaining += s.active[f] != 0 ? 1 : 0;
@@ -252,6 +264,9 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
     s.wsum.assign(resourceCount, 0.0);
     s.activeAtResource.assign(resourceCount, 0);
     s.satKey.assign(resourceCount, kInf);
+    // Nothing is queued until the heap is seeded below; -inf keeps
+    // the pre-freeze pass from pushing.
+    s.queuedKey.assign(resourceCount, -kInf);
     for (std::size_t f = 0; f < nf; ++f) {
         if (s.active[f] == 0)
             continue;
@@ -271,9 +286,14 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
             return a.kind > b.kind;
         return a.id > b.id;
     };
-    auto pushEvent = [&](double key, int kind, std::size_t id) {
-        heap.push_back({key, kind, id});
+    auto queueResource = [&](std::size_t r) {
+        s.queuedKey[r] = s.satKey[r];
+        heap.push_back({s.satKey[r], 1, r});
         std::push_heap(heap.begin(), heap.end(), heapLater);
+    };
+    auto slackKey = [&](std::size_t r) {
+        return std::max(resources[r].cap - s.frozenUsed[r], 0.0) /
+               s.wsum[r];
     };
 
     auto freezeFlow = [&](std::size_t f, Mbps rate, Bottleneck why) {
@@ -292,10 +312,9 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
                 s.satKey[r] = kInf;
                 continue;
             }
-            const double slack =
-                std::max(resources[r].cap - s.frozenUsed[r], 0.0);
-            s.satKey[r] = slack / s.wsum[r];
-            pushEvent(s.satKey[r], 1, r);
+            s.satKey[r] = slackKey(r);
+            if (s.satKey[r] < s.queuedKey[r])
+                queueResource(r);
         }
     };
 
@@ -307,20 +326,20 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
         }
     }
 
-    // Initial events: one per still-active flow (self capability) and
-    // one per resource that still carries active flows. Entries made
-    // stale by pre-freeze pushes are discarded by the key check below.
+    // Initial events, heapified at once: one per still-active flow
+    // (self capability) and one per resource that still carries
+    // active flows.
     for (std::size_t f = 0; f < nf; ++f)
         if (s.active[f] != 0)
-            pushEvent(s.selfCap[f] / s.weight[f], 0, f);
+            heap.push_back({s.selfCap[f] / s.weight[f], 0, f});
     for (std::size_t r = 0; r < resourceCount; ++r) {
         if (s.activeAtResource[r] == 0)
             continue;
-        const double slack =
-            std::max(resources[r].cap - s.frozenUsed[r], 0.0);
-        s.satKey[r] = slack / s.wsum[r];
-        pushEvent(s.satKey[r], 1, r);
+        s.satKey[r] = slackKey(r);
+        s.queuedKey[r] = s.satKey[r];
+        heap.push_back({s.satKey[r], 1, r});
     }
+    std::make_heap(heap.begin(), heap.end(), heapLater);
 
     std::size_t guard = 0;
     const std::size_t maxEvents = 8 * (nf + resourceCount) + 64;
@@ -336,10 +355,15 @@ solveRates(const std::vector<FlowSpec> &flows, const SolverInputs &inputs,
                            Bottleneck::SelfCap);
             continue;
         }
-        // Resource saturation; skip entries a later freeze re-keyed.
+        // Resource entry: skip dead resources and entries a lower
+        // push superseded; re-queue one that freezes have raised.
         const std::size_t r = ev.id;
-        if (s.activeAtResource[r] == 0 || ev.key != s.satKey[r])
+        if (s.activeAtResource[r] == 0 || ev.key != s.queuedKey[r])
             continue;
+        if (ev.key != s.satKey[r]) {
+            queueResource(r);
+            continue;
+        }
         const double theta = ev.key;
         for (std::size_t f : resources[r].flows)
             if (s.active[f] != 0)

@@ -211,8 +211,10 @@ struct SolverScratch
 
     // Event-driven water-fill state: per-resource active weight sums,
     // capacity already pinned by frozen flows, live flow counts, the
-    // current saturation key (stale heap entries are discarded by
-    // comparing against it), and the lazy min-heap of fill events.
+    // current saturation key, the key of the resource's one queued
+    // heap entry (newest and lowest; never above the current key, and
+    // older entries are discarded by comparing against it), and the
+    // min-heap of fill events.
     struct FillEvent
     {
         double key = 0.0;    ///< fill level theta of the event
@@ -224,6 +226,7 @@ struct SolverScratch
     std::vector<double> frozenUsed;
     std::vector<int> activeAtResource;
     std::vector<double> satKey;
+    std::vector<double> queuedKey;
     std::vector<FillEvent> heap;
 };
 

@@ -78,6 +78,7 @@ drive(const Dynamics &dynamics, const net::Topology &topo,
         stats.minCapFactor = 1.0;
         double sum = 0.0;
         stats.minPairRate = -1.0;
+        const Matrix<Mbps> rates = sim.pairRateMatrix();
         for (net::DcId i = 0; i < n; ++i) {
             for (net::DcId j = 0; j < n; ++j) {
                 if (i == j)
@@ -86,7 +87,7 @@ drive(const Dynamics &dynamics, const net::Topology &topo,
                 stats.minCapFactor =
                     std::min(stats.minCapFactor, factor);
                 sum += factor;
-                const Mbps rate = sim.pairRate(i, j);
+                const Mbps rate = rates.at(i, j);
                 stats.minPairRate = stats.minPairRate < 0.0
                                         ? rate
                                         : std::min(stats.minPairRate,

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <map>
+#include <string>
 
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "net/flow_solver.hh"
 #include "net/fluctuation.hh"
@@ -299,6 +304,84 @@ flow(std::size_t srcVm, std::size_t dstVm, std::size_t srcDc,
     return f;
 }
 
+/** A random solver problem: flows plus the inputs they run against. */
+struct Mesh
+{
+    std::vector<FlowSpec> flows;
+    SolverInputs inputs;
+};
+
+/**
+ * Random serve-shaped mesh: @p vmsPerDc VMs per DC, flows between VMs
+ * of distinct DCs drawn over @p groups flow groups (a few ungrouped),
+ * sparse (group, pair) share caps, tc limits on some pairs, and one
+ * zero-capacity path so the solver's pre-freeze runs.
+ */
+Mesh
+randomMesh(Rng &rng, std::size_t dcs, std::size_t vmsPerDc,
+           std::size_t flowCount, std::size_t groups)
+{
+    const std::size_t vms = dcs * vmsPerDc;
+    Mesh m;
+    SolverInputs &in = m.inputs;
+    in.dcCount = dcs;
+    for (std::size_t v = 0; v < vms; ++v) {
+        in.vmEgressCap.push_back(rng.uniform(1000.0, 10000.0));
+        in.vmIngressCap.push_back(rng.uniform(1000.0, 10000.0));
+        in.vmNicCap.push_back(rng.uniform(2000.0, 16000.0));
+    }
+    in.pathCap.assign(dcs * dcs, 0.0);
+    in.tcLimit.assign(dcs * dcs, 0.0);
+    for (std::size_t p = 0; p < dcs * dcs; ++p) {
+        in.pathCap[p] = rng.uniform(100.0, 3000.0);
+        if (rng.bernoulli(0.25))
+            in.tcLimit[p] = rng.uniform(20.0, 800.0);
+    }
+    auto pickDc = [&] {
+        return static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(dcs) - 1));
+    };
+    auto vmOf = [&](std::size_t dc) {
+        return dc * vmsPerDc +
+               static_cast<std::size_t>(rng.uniformInt(
+                   0, static_cast<std::int64_t>(vmsPerDc) - 1));
+    };
+    const std::size_t deadSrc = pickDc();
+    in.pathCap[deadSrc * dcs + (deadSrc + 1) % dcs] = 0.0;
+
+    std::vector<std::pair<std::size_t, std::size_t>> groupPairs;
+    for (std::size_t k = 0; k < flowCount; ++k) {
+        const std::size_t src = pickDc();
+        const std::size_t dst =
+            (src + 1 +
+             static_cast<std::size_t>(rng.uniformInt(
+                 0, static_cast<std::int64_t>(dcs) - 2))) %
+            dcs;
+        // One draw per statement: argument evaluation order is
+        // unspecified, and the goldens depend on the draw order.
+        const std::size_t srcVm = vmOf(src);
+        const std::size_t dstVm = vmOf(dst);
+        const int conns = static_cast<int>(rng.uniformInt(1, 12));
+        const double weight = rng.uniform(0.1, 10.0);
+        FlowSpec f = flow(srcVm, dstVm, src, dst, conns, weight,
+                          rng.uniform(20.0, 400.0));
+        if (!rng.bernoulli(0.1)) {
+            f.group = static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(groups) - 1));
+            groupPairs.emplace_back(f.group, src * dcs + dst);
+        }
+        m.flows.push_back(f);
+    }
+    std::sort(groupPairs.begin(), groupPairs.end());
+    groupPairs.erase(std::unique(groupPairs.begin(), groupPairs.end()),
+                     groupPairs.end());
+    for (const auto &[group, pair] : groupPairs)
+        if (rng.bernoulli(0.4))
+            in.groupShareCap.push_back(
+                {group, pair, rng.uniform(5.0, 300.0)});
+    return m;
+}
+
 } // namespace
 
 TEST(FlowSolver, SingleFlowSelfCapBound)
@@ -384,51 +467,165 @@ TEST(FlowSolver, EmptyProblemIsEmpty)
     EXPECT_TRUE(solveRates({}, simpleInputs(1, 1)).empty());
 }
 
+TEST(FlowSolver, ServeShapedSolvesMatchFrozenGoldens)
+{
+    // Frozen outputs of three serve-sized problems (8 DCs x 2 VMs, 600
+    // grouped flows, share caps, tc limits, a dead path), each solved
+    // with and without the VM penalties and hashed bit for bit. Any
+    // change in freeze order or fill arithmetic moves the hash; a
+    // run-vs-run comparison would not notice.
+    std::uint64_t hash = 1469598103934665603ULL; // FNV-1a offset basis
+    auto mix = [&hash](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            hash ^= (v >> (8 * b)) & 0xffU;
+            hash *= 1099511628211ULL;
+        }
+    };
+    SolverScratch scratch;
+    for (std::uint64_t seed : {31u, 32u, 33u}) {
+        Rng rng(seed);
+        const Mesh m = randomMesh(rng, 8, 2, 600, 48);
+        for (const SolverConfig &cfg : {SolverConfig{}, pureSharing()}) {
+            const auto rates =
+                solveRates(m.flows, m.inputs, cfg, &scratch);
+            ASSERT_EQ(rates.size(), m.flows.size());
+            for (const FlowRate &r : rates) {
+                std::uint64_t bits = 0;
+                std::memcpy(&bits, &r.rate, sizeof(bits));
+                mix(bits);
+                mix(static_cast<std::uint64_t>(r.bottleneck));
+            }
+        }
+    }
+    EXPECT_EQ(hash, 0xe57cd838412330eULL);
+}
+
 // ---- flow solver: properties over random meshes ------------------------------
 
 class FlowSolverProperty : public ::testing::TestWithParam<int>
 {};
 
+namespace {
+
+/** Self capability recomputed here, independent of bundleCap. */
+Mbps
+oracleSelfCap(const FlowSpec &f, const SolverConfig &cfg)
+{
+    const double excess = std::max(0, f.connections - cfg.connectionKnee);
+    return f.connections * f.capPerConn /
+           (1.0 + cfg.congestionAlpha * excess * excess);
+}
+
+/** Every capacity a flow crosses, as (resource key, nominal cap). */
+struct OracleResources
+{
+    std::map<std::string, Mbps> cap;
+    std::vector<std::vector<std::string>> ofFlow;
+};
+
+OracleResources
+oracleResources(const Mesh &m)
+{
+    OracleResources out;
+    const SolverInputs &in = m.inputs;
+    for (const FlowSpec &f : m.flows) {
+        const std::size_t pair = f.srcDc * in.dcCount + f.dstDc;
+        std::vector<std::string> keys;
+        auto add = [&](std::string key, Mbps cap) {
+            out.cap[key] = cap;
+            keys.push_back(std::move(key));
+        };
+        add("egress" + std::to_string(f.srcVm), in.vmEgressCap[f.srcVm]);
+        add("ingress" + std::to_string(f.dstVm),
+            in.vmIngressCap[f.dstVm]);
+        add("nic" + std::to_string(f.srcVm), in.vmNicCap[f.srcVm]);
+        add("nic" + std::to_string(f.dstVm), in.vmNicCap[f.dstVm]);
+        add("path" + std::to_string(pair), in.pathCap[pair]);
+        if (in.tcLimit[pair] > 0.0)
+            add("tc" + std::to_string(pair), in.tcLimit[pair]);
+        for (const auto &c : in.groupShareCap)
+            if (c.group == f.group && c.pair == pair && c.cap > 0.0)
+                add("group" + std::to_string(c.group) + "/" +
+                        std::to_string(pair),
+                    c.cap);
+        out.ofFlow.push_back(std::move(keys));
+    }
+    return out;
+}
+
+Mesh
+propertyMesh(int param)
+{
+    Rng rng(1000 + param);
+    const std::size_t dcs = 2 + rng.uniformInt(0, 4);
+    const std::size_t vmsPerDc = 1 + rng.uniformInt(0, 2);
+    const std::size_t flows = 5 + rng.uniformInt(0, 55);
+    const std::size_t groups = 1 + rng.uniformInt(0, 5);
+    return randomMesh(rng, dcs, vmsPerDc, flows, groups);
+}
+
+} // namespace
+
 TEST_P(FlowSolverProperty, ConservationAndFeasibility)
 {
-    Rng rng(1000 + GetParam());
-    const std::size_t dcs = 2 + rng.uniformInt(0, 4);
-    const std::size_t vms = dcs;
-    auto inputs = simpleInputs(vms, dcs,
-                               rng.uniform(500.0, 3000.0),
-                               rng.uniform(800.0, 4000.0));
+    // Feasibility on every resource kind, with and without the
+    // connection/oversubscription penalties (they only shrink
+    // capacities, so the nominal caps bound from above).
+    const Mesh m = propertyMesh(GetParam());
+    const OracleResources res = oracleResources(m);
+    for (const SolverConfig &cfg : {SolverConfig{}, pureSharing()}) {
+        const auto rates = solveRates(m.flows, m.inputs, cfg);
+        ASSERT_EQ(rates.size(), m.flows.size());
+        std::map<std::string, Mbps> load;
+        for (std::size_t f = 0; f < m.flows.size(); ++f) {
+            EXPECT_GE(rates[f].rate, 0.0);
+            EXPECT_LE(rates[f].rate,
+                      oracleSelfCap(m.flows[f], cfg) + 1e-6);
+            for (const std::string &key : res.ofFlow[f])
+                load[key] += rates[f].rate;
+        }
+        for (const auto &[key, sum] : load)
+            EXPECT_LE(sum, res.cap.at(key) * (1.0 + 1e-12) + 1e-6)
+                << key;
+    }
+}
 
-    std::vector<FlowSpec> flows;
-    for (std::size_t i = 0; i < dcs; ++i) {
-        for (std::size_t j = 0; j < dcs; ++j) {
-            if (i == j || rng.bernoulli(0.3))
-                continue;
-            flows.push_back(flow(
-                i, j, i, j, static_cast<int>(rng.uniformInt(1, 10)),
-                rng.uniform(0.1, 10.0), rng.uniform(50.0, 2000.0)));
+TEST_P(FlowSolverProperty, MaxMinOptimalUnderPureSharing)
+{
+    // Weighted max-min: a flow below its own capability must cross a
+    // saturated resource on which its rate / weight is the largest.
+    const Mesh m = propertyMesh(GetParam());
+    const OracleResources res = oracleResources(m);
+    const SolverConfig cfg = pureSharing();
+    const auto rates = solveRates(m.flows, m.inputs, cfg);
+    ASSERT_EQ(rates.size(), m.flows.size());
+
+    std::map<std::string, Mbps> load;
+    std::map<std::string, double> maxLevel;
+    std::vector<double> level(m.flows.size());
+    for (std::size_t f = 0; f < m.flows.size(); ++f) {
+        level[f] = rates[f].rate / (m.flows[f].weightPerConn *
+                                    m.flows[f].connections);
+        for (const std::string &key : res.ofFlow[f]) {
+            load[key] += rates[f].rate;
+            maxLevel[key] = std::max(maxLevel[key], level[f]);
         }
     }
-    const auto rates = solveRates(flows, inputs);
-    ASSERT_EQ(rates.size(), flows.size());
-
-    // Feasibility: rates non-negative, self-cap honored, resources
-    // not oversubscribed (the conn/oversubscription penalties only
-    // shrink capacities, so the nominal caps bound from above).
-    SolverConfig cfg;
-    std::vector<double> egress(vms, 0.0), ingress(vms, 0.0);
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-        EXPECT_GE(rates[f].rate, 0.0);
-        EXPECT_LE(rates[f].rate,
-                  bundleCap(flows[f].connections,
-                            flows[f].capPerConn, cfg) +
-                      1e-6);
-        egress[flows[f].srcVm] += rates[f].rate;
-        ingress[flows[f].dstVm] += rates[f].rate;
-    }
-    for (std::size_t v = 0; v < vms; ++v) {
-        EXPECT_LE(egress[v], inputs.vmEgressCap[v] + 1e-6);
-        EXPECT_LE(ingress[v], inputs.vmIngressCap[v] + 1e-6);
-        EXPECT_LE(egress[v] + ingress[v], inputs.vmNicCap[v] + 1e-6);
+    for (std::size_t f = 0; f < m.flows.size(); ++f) {
+        if (rates[f].rate >= oracleSelfCap(m.flows[f], cfg) - 1e-6)
+            continue;
+        bool bottlenecked = false;
+        for (const std::string &key : res.ofFlow[f]) {
+            const Mbps cap = res.cap.at(key);
+            const bool saturated =
+                load[key] >= cap * (1.0 - 1e-12) - 1e-6;
+            if (saturated &&
+                level[f] >= maxLevel[key] * (1.0 - 1e-12) - 1e-9)
+                bottlenecked = true;
+        }
+        EXPECT_TRUE(bottlenecked)
+            << "flow " << f << " rate " << rates[f].rate
+            << " has no saturated resource where it is maximal";
     }
 }
 

@@ -357,6 +357,31 @@ TEST(Service, DrainReproducesBitIdenticalReports)
     EXPECT_GT(a.makespan, 0.0);
 }
 
+TEST(Service, MixedBurstMatchesFrozenResultHash)
+{
+    // A serve-mixed-shaped burst: 64 mixed queries, all due at t = 0,
+    // into 48 MaxMinFair slots planned by Tetrium. The frozen hash
+    // pins every query's latency and WAN bytes, so a change in the
+    // shared solver's freeze order cannot pass as run-vs-run equal.
+    serve::WorkloadConfig mix;
+    mix.queries = 64;
+    mix.arrivalWindow = 0.0;
+    serve::ServiceConfig cfg;
+    cfg.policy = serve::AllocPolicy::MaxMinFair;
+    cfg.scheduler = serve::SchedulerKind::Tetrium;
+    cfg.maxConcurrent = 48;
+    const auto wanify = tinyWanify();
+    serve::Service service(experiments::workerCluster(8), cfg,
+                           experiments::defaultSimConfig(),
+                           wanify.get(), 17);
+    for (auto &q : serve::mixedWorkload(mix, 8, 17))
+        service.submit(std::move(q));
+    const auto report = service.drain();
+    EXPECT_EQ(report.completed + report.timedOut + report.failedQueries,
+              64u);
+    EXPECT_EQ(report.resultHash, 0xcf16e1b2c77efd22ULL);
+}
+
 TEST(Service, AdmissionCapQueuesExcessQueries)
 {
     serve::ServiceConfig cfg;
