@@ -1,31 +1,28 @@
 /**
  * @file
- * Training performance bench: the TrainingContext split engines vs the
+ * Training performance bench: the presorted exact split engine vs the
  * legacy per-node-sorting splitter, on the production forest shape and
  * a campaign-sized Table 3 dataset.
  *
- * Three engines, timed interleaved (best-of so frequency drift hits
+ * Two engines, timed interleaved (best-of so frequency drift hits
  * them alike):
  *
- *  1. nodeSort — the pre-PR splitter, re-sorting the node's index set
- *     per candidate feature at every node (the "before" column);
+ *  1. nodeSort — the reference splitter, re-sorting the node's index
+ *     set per candidate feature at every node (the "before" column);
  *  2. exact — presorted per-feature orderings partitioned down the
- *     tree, bit-identical trees to nodeSort (gated here every run);
- *  3. histogram — <= 256-bin quantization shared across trees, with
- *     the BinIndex *extended* (not rebuilt) on warm starts.
+ *     tree, bit-identical trees to nodeSort (gated here every run).
  *
  * Both full fits (the Bandwidth Analyzer campaign path) and 25-tree
  * warm starts on a grown dataset (the Section 3.3.4 drift-retrain
  * stall) are measured. Results are printed as a table and emitted to
  * BENCH_training.json (override with --out) for the perf trajectory.
- * CI runs the full mode, which enforces lenient same-machine speedup
- * floors (exact >= 2x, histogram >= 5x) far under what quiet
- * machines measure, so a real regression fails loudly even on slow
- * shared runners; --smoke shrinks the workload for quick local
- * iteration and applies only the parity and accuracy gates.
+ * CI runs the full mode, which enforces a lenient same-machine fit
+ * speedup floor (exact >= 2x) far under what quiet machines measure,
+ * so a real regression fails loudly even on slow shared runners;
+ * --smoke shrinks the workload for quick local iteration and applies
+ * only the parity gate.
  */
 
-#include <cmath>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -109,16 +106,13 @@ main(int argc, char **argv)
     grown.append(
         bench::campaignTable3Data(extraRows, seed ^ 0xfeedULL));
 
-    // --- parity and accuracy gates first ---------------------------------
+    // --- parity gate first -----------------------------------------------
     ml::RandomForestRegressor exactForest(
         forestConfig(trees, ml::SplitMode::exact));
     ml::RandomForestRegressor nodeSortForest(
         forestConfig(trees, ml::SplitMode::nodeSort));
-    ml::RandomForestRegressor histForest(
-        forestConfig(trees, ml::SplitMode::histogram));
     exactForest.fit(data, seed);
     nodeSortForest.fit(data, seed);
-    histForest.fit(data, seed);
 
     Rng probeRng(seed ^ 0xabcdULL);
     for (int p = 0; p < 256; ++p) {
@@ -143,19 +137,9 @@ main(int argc, char **argv)
         std::fprintf(stderr, "PARITY FAILURE: OOB R^2 differs\n");
         return 1;
     }
-    // Histogram trees are not bit-identical (bin-edge thresholds) but
-    // must match exact-mode accuracy within noise.
-    const double oobGap =
-        std::abs(histForest.oobR2() - exactForest.oobR2());
-    if (!(oobGap < 0.05)) {
-        std::fprintf(stderr,
-                     "histogram OOB R^2 %.4f strays from exact %.4f\n",
-                     histForest.oobR2(), exactForest.oobR2());
-        return 1;
-    }
 
     // --- timed fits (interleaved best-of) --------------------------------
-    double fitNodeSortMs = 0.0, fitExactMs = 0.0, fitHistMs = 0.0;
+    double fitNodeSortMs = 0.0, fitExactMs = 0.0;
     for (std::size_t rep = 0; rep < reps; ++rep) {
         const double ns = bestOfMs(1, [&] {
             ml::RandomForestRegressor f(
@@ -169,25 +153,16 @@ main(int argc, char **argv)
             f.fit(data, seed);
             gSink = f.oobR2();
         });
-        const double hi = bestOfMs(1, [&] {
-            ml::RandomForestRegressor f(
-                forestConfig(trees, ml::SplitMode::histogram));
-            f.fit(data, seed);
-            gSink = f.oobR2();
-        });
         if (rep == 0 || ns < fitNodeSortMs)
             fitNodeSortMs = ns;
         if (rep == 0 || ex < fitExactMs)
             fitExactMs = ex;
-        if (rep == 0 || hi < fitHistMs)
-            fitHistMs = hi;
     }
 
     // --- timed warm starts (the drift-retrain stall) ---------------------
     // Copy outside the clock (Wanify::retrain copies the base model
-    // too, but that cost is mode-independent); the histogram path
-    // extends the base's BinIndex instead of re-binning.
-    double wsNodeSortMs = 0.0, wsExactMs = 0.0, wsHistMs = 0.0;
+    // too, but that cost is mode-independent).
+    double wsNodeSortMs = 0.0, wsExactMs = 0.0;
     for (std::size_t rep = 0; rep < reps; ++rep) {
         {
             auto f = nodeSortForest;
@@ -207,41 +182,26 @@ main(int argc, char **argv)
             if (rep == 0 || ms < wsExactMs)
                 wsExactMs = ms;
         }
-        {
-            auto f = histForest;
-            const double ms = bestOfMs(1, [&] {
-                f.warmStart(grown, extraTrees, seed + rep);
-                gSink = f.oobR2();
-            });
-            if (rep == 0 || ms < wsHistMs)
-                wsHistMs = ms;
-        }
     }
 
     const double fitSpeedupExact = fitNodeSortMs / fitExactMs;
-    const double fitSpeedupHist = fitNodeSortMs / fitHistMs;
     const double wsSpeedupExact = wsNodeSortMs / wsExactMs;
-    const double wsSpeedupHist = wsNodeSortMs / wsHistMs;
 
     Table table("Training performance (" + std::to_string(trees) +
                 " trees, depth 14, " + std::to_string(rows) +
                 " campaign rows)");
-    table.setHeader({"path", "nodeSort (ms)", "exact (ms)",
-                     "histogram (ms)", "speedup (ex / hist)"});
+    table.setHeader(
+        {"path", "nodeSort (ms)", "exact (ms)", "speedup"});
     table.addRow({"forest fit", Table::num(fitNodeSortMs, 0),
                   Table::num(fitExactMs, 0),
-                  Table::num(fitHistMs, 0),
-                  Table::num(fitSpeedupExact, 1) + "x / " +
-                      Table::num(fitSpeedupHist, 1) + "x"});
+                  Table::num(fitSpeedupExact, 1) + "x"});
     table.addRow({"warmStart +" + std::to_string(extraTrees),
                   Table::num(wsNodeSortMs, 0),
-                  Table::num(wsExactMs, 0), Table::num(wsHistMs, 0),
-                  Table::num(wsSpeedupExact, 1) + "x / " +
-                      Table::num(wsSpeedupHist, 1) + "x"});
+                  Table::num(wsExactMs, 0),
+                  Table::num(wsSpeedupExact, 1) + "x"});
     table.print();
     std::printf("parity: exact-mode forest bit-identical to the "
-                "nodeSort reference; histogram OOB R^2 gap %.4f\n",
-                oobGap);
+                "nodeSort reference\n");
 
     bench::writeBenchJson(
         outPath,
@@ -255,30 +215,19 @@ main(int argc, char **argv)
              "parity", "exact bit-identical to nodeSort")},
         {{"fit_nodesort_ms", fitNodeSortMs},
          {"fit_exact_ms", fitExactMs},
-         {"fit_histogram_ms", fitHistMs},
          {"warmstart_nodesort_ms", wsNodeSortMs},
          {"warmstart_exact_ms", wsExactMs},
-         {"warmstart_histogram_ms", wsHistMs},
          {"speedup_fit_exact", fitSpeedupExact},
-         {"speedup_fit_histogram", fitSpeedupHist},
-         {"speedup_warmstart_exact", wsSpeedupExact},
-         {"speedup_warmstart_histogram", wsSpeedupHist}});
+         {"speedup_warmstart_exact", wsSpeedupExact}});
     std::printf("wrote %s\n", outPath.c_str());
 
-    // Smoke mode gates on parity/accuracy only; full runs (CI
-    // included) enforce same-machine floors far below quiet-machine
-    // measurements (~18x / ~16x).
+    // Smoke mode gates on parity only; full runs (CI included)
+    // enforce a same-machine floor far below quiet-machine
+    // measurements.
     if (!smoke && fitSpeedupExact < 2.0) {
         std::fprintf(stderr,
                      "exact fit speedup %.1fx below the 2x floor\n",
                      fitSpeedupExact);
-        return 1;
-    }
-    if (!smoke && fitSpeedupHist < 5.0) {
-        std::fprintf(stderr,
-                     "histogram fit speedup %.1fx below the 5x "
-                     "floor\n",
-                     fitSpeedupHist);
         return 1;
     }
     return 0;

@@ -8,13 +8,12 @@
  * regressions on WAN bandwidth data (Section 3.1's motivation for
  * tree-based learners).
  *
- * Three split engines grow identical tree shapes from the same
- * recursion (see SplitMode): the presorted exact engine (default),
- * the binned histogram engine, and the legacy per-node-sorting
- * reference the exact engine is parity-locked against. All engines
- * share one canonical sample order — feature value ascending, ties
- * broken by sample index — so results do not depend on the standard
- * library's sort implementation.
+ * Two split engines grow bit-identical trees (see SplitMode): the
+ * presorted exact engine (default) and the legacy per-node-sorting
+ * reference it is parity-locked against. Both share one canonical
+ * sample order — feature value ascending, ties broken by sample
+ * index — so results do not depend on the standard library's sort
+ * implementation.
  */
 
 #ifndef WANIFY_ML_DECISION_TREE_HH
@@ -42,18 +41,6 @@ enum class SplitMode
      * nodeSort reference — the default.
      */
     exact,
-
-    /**
-     * Quantize each feature into <= 256 bins once per dataset
-     * (ml::BinIndex, reused across trees and *extended* — never
-     * rebuilt — by warm starts, so drift retrains skip re-binning).
-     * Nodes accumulate per-bin sums and scan only the touched bin
-     * range; training partitions by bin code. Trees are not
-     * bit-identical to exact mode (thresholds come from bin edges)
-     * but accuracy matches within noise; comparable to exact on
-     * Table-3-sized features, ahead as features and rows grow.
-     */
-    histogram,
 
     /**
      * The legacy splitter re-sorting the node's index set per
@@ -89,9 +76,9 @@ class DecisionTreeRegressor
     /**
      * Fit on the rows of @p data selected by @p sampleIndices (the
      * forest passes bootstrap samples; pass all indices for a plain
-     * tree). @p rng drives feature subsampling. Builds a private
-     * TrainingContext for the configured split mode; forests share
-     * one context across all trees via the overload below.
+     * tree). @p rng drives feature subsampling. In exact mode this
+     * builds a private TrainingContext; forests share one context
+     * across all trees via the overload below.
      */
     void fit(const Dataset &data,
              const std::vector<std::size_t> &sampleIndices, Rng &rng);
@@ -100,10 +87,10 @@ class DecisionTreeRegressor
     void fit(const Dataset &data, Rng &rng);
 
     /**
-     * Fit against a shared, immutable TrainingContext (built for
-     * this config's split mode). Safe to call concurrently on
-     * distinct trees with the same context — per-node scratch comes
-     * from the calling thread's pool.
+     * Fit against a shared, immutable TrainingContext (exact mode
+     * only; any other mode is a FatalError). Safe to call
+     * concurrently on distinct trees with the same context —
+     * per-node scratch comes from the calling thread's pool.
      */
     void fit(const TrainingContext &ctx,
              const std::vector<std::size_t> &sampleIndices, Rng &rng);
@@ -159,15 +146,6 @@ class DecisionTreeRegressor
         std::size_t feature = 0;
         double threshold = 0.0;
         double gain = 0.0;
-
-        /**
-         * Histogram mode: last bin of the left side. Training
-         * partitions by bin code — rows appended to an extended
-         * BinIndex can fall between the original bins, where the
-         * code and the threshold disagree; the code is what the
-         * split's gain was computed from.
-         */
-        std::size_t bin = 0;
     };
 
     int buildNodeSort(const Dataset &data,

@@ -19,7 +19,6 @@
 #include <mutex>
 #include <vector>
 
-#include "ml/bin_index.hh"
 #include "ml/compiled_forest.hh"
 #include "ml/decision_tree.hh"
 
@@ -34,11 +33,11 @@ struct ForestConfig
 
     TreeConfig tree;
 
-    /** Bootstrap sample size as a fraction of the training set. */
+    /**
+     * Bootstrap sample size (drawn with replacement) as a fraction
+     * of the training set; must be in (0, 1].
+     */
     double bootstrapFraction = 1.0;
-
-    /** Draw bootstrap samples with replacement. */
-    bool bootstrap = true;
 
     /**
      * Training parallelism: 0 = grow trees on the process-wide
@@ -115,18 +114,6 @@ class RandomForestRegressor
      */
     double oobR2() const { return oobR2_; }
 
-    /**
-     * Histogram mode's shared feature quantization: built once per
-     * fit() dataset, shared immutably across all trees and forest
-     * copies, and *extended* (never rebuilt) by warmStart() when the
-     * training set has only grown — so drift retrains skip re-binning
-     * the whole campaign. Null in exact/nodeSort modes.
-     */
-    const std::shared_ptr<const BinIndex> &binIndex() const
-    {
-        return bins_;
-    }
-
     /** Normalized impurity feature importances (sums to 1). */
     std::vector<double> featureImportances() const;
 
@@ -143,9 +130,6 @@ class RandomForestRegressor
     std::vector<DecisionTreeRegressor> trees_;
     std::size_t featureCount_ = 0;
     double oobR2_ = 0.0;
-
-    /** Shared quantization (histogram mode only); immutable. */
-    std::shared_ptr<const BinIndex> bins_;
 
     /**
      * Lazily built compiled snapshot, guarded by compiledMu_. Shared

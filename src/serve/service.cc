@@ -23,6 +23,15 @@ namespace {
 
 constexpr Seconds kTimeEps = 1.0e-9;
 
+/** Connection cap for re-dispatched straggler transfers. */
+constexpr int kMaxRedispatchConnections = 8;
+
+/**
+ * Forecast admission holds while the mesh-mean capacity factor now is
+ * below this share of the best one within the forecast horizon.
+ */
+constexpr double kAdmissionTrough = 0.6;
+
 std::unique_ptr<gda::Scheduler>
 makeScheduler(SchedulerKind kind)
 {
@@ -230,7 +239,7 @@ Service::admissionHeld()
          t <= now + cfg_.forecast.horizon + kTimeEps;
          t += cfg_.forecast.step)
         best = std::max(best, meshMeanFactor(t));
-    if (nowMean >= cfg_.admissionTrough * best)
+    if (nowMean >= kAdmissionTrough * best)
         return false;
 
     // Hold until the first forecast sample out of the trough,
@@ -240,7 +249,7 @@ Service::admissionHeld()
     for (Seconds t = now + cfg_.forecast.step;
          t <= now + cfg_.forecast.horizon + kTimeEps;
          t += cfg_.forecast.step) {
-        if (meshMeanFactor(t) >= cfg_.admissionTrough * best) {
+        if (meshMeanFactor(t) >= kAdmissionTrough * best) {
             resume = std::min(resume, t);
             break;
         }
@@ -626,7 +635,7 @@ Service::checkStragglersAndGuards()
             if (remaining < 1.0)
                 continue;
             const int conns =
-                std::min(cfg_.maxRedispatchConnections,
+                std::min(kMaxRedispatchConnections,
                          std::max(1, t.connections * 2));
             const TransferId fresh = sim_.startTransfer(
                 gda::shuffleEndpointVm(topo_, t.src),

@@ -84,16 +84,13 @@ struct ServiceConfig
     /**
      * Re-dispatch a transfer still unfinished after stragglerFactor
      * times its planned duration: stop it and restart the remaining
-     * bytes with doubled connections. 0 disables.
+     * bytes with doubled connections, capped at 8. 0 disables.
      */
     double stragglerFactor = 4.0;
 
-    /** Connection cap for re-dispatched transfers. */
-    int maxRedispatchConnections = 8;
-
     /**
      * Re-dispatches allowed per transfer (each doubles connections up
-     * to maxRedispatchConnections). The default preserves the
+     * to the cap of 8). The default preserves the
      * historical once-per-transfer behavior; 0 disables re-dispatch
      * even with a positive stragglerFactor.
      */
@@ -149,15 +146,14 @@ struct ServiceConfig
 
     /**
      * Forecast-aware admission: hold admissions while the mesh-mean
-     * forecast capacity is below admissionTrough times the best
-     * mesh-mean within the horizon — the upcoming recovery makes
+     * forecast capacity is below 0.6 times the best mesh-mean within
+     * the horizon — the upcoming recovery makes
      * "right now" the worst moment to start a query. Each hold is
      * capped at maxAdmissionHold and followed by an equally long
      * cool-off before another hold may begin, so admission delay
      * stays bounded. Needs forecast.enabled and dynamics.
      */
     bool forecastAdmission = false;
-    double admissionTrough = 0.6;
     Seconds maxAdmissionHold = 120.0;
 
     // --- online model refresh --------------------------------------------

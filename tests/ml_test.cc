@@ -240,6 +240,20 @@ TEST(RandomForest, WarmStartRejectsZeroExtraTrees)
     EXPECT_THROW(forest.warmStart(data, 0, 61), FatalError);
 }
 
+TEST(RandomForest, ConstructorRejectsBadConfig)
+{
+    ForestConfig noTrees;
+    noTrees.nEstimators = 0;
+    EXPECT_THROW(RandomForestRegressor{noTrees}, FatalError);
+    // NaN fails every comparison, so a range check written as
+    // "f <= 0 || f > 1" would let it through to a one-sample bag.
+    for (double f : {0.0, 1.5, std::nan("")}) {
+        ForestConfig cfg;
+        cfg.bootstrapFraction = f;
+        EXPECT_THROW(RandomForestRegressor{cfg}, FatalError) << f;
+    }
+}
+
 TEST(RandomForest, OobR2ImprovesAsAppendedDataGrows)
 {
     // The warm-start story of Section 3.3.4: the original batch is

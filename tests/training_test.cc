@@ -3,9 +3,8 @@
  * Tests for the TrainingContext split engines: the presorted exact
  * engine locked bit-identical against the nodeSort reference (random
  * datasets, heavy ties, multi-output targets, minSamples edges, warm
- * starts, parallel growth), the histogram engine's accuracy and
- * BinIndex sharing/extension semantics, and the retrain-latency
- * aggregation plumbing.
+ * starts, parallel growth), the exact-mode guard on shared contexts,
+ * and the retrain-latency aggregation plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +12,7 @@
 #include <cmath>
 
 #include "common/error.hh"
-#include "core/predictor.hh"
-#include "core/wanify.hh"
 #include "experiments/runner.hh"
-#include "ml/bin_index.hh"
-#include "ml/metrics.hh"
 #include "ml/random_forest.hh"
 #include "ml/training_context.hh"
 
@@ -217,7 +212,7 @@ TEST(TrainingParity, TreeContextFitMatchesDatasetFit)
     DecisionTreeRegressor direct(cfg), viaContext(cfg);
     Rng rngA(122), rngB(122);
     direct.fit(data, indices, rngA);
-    const TrainingContext ctx(data, SplitMode::exact);
+    const TrainingContext ctx(data);
     viaContext.fit(ctx, indices, rngB);
 
     ASSERT_EQ(direct.nodeCount(), viaContext.nodeCount());
@@ -229,198 +224,18 @@ TEST(TrainingParity, TreeContextFitMatchesDatasetFit)
     }
 }
 
-// ---- histogram mode --------------------------------------------------------
-
-TEST(HistogramTraining, OobWithinEpsilonOfExact)
+TEST(TrainingContextFit, NonExactTreeRejectsContext)
 {
-    const auto data = continuousData(600, 131);
-    RandomForestRegressor exact(configFor(SplitMode::exact, 25));
-    RandomForestRegressor hist(configFor(SplitMode::histogram, 25));
-    exact.fit(data, 132);
-    hist.fit(data, 132);
-    ASSERT_FALSE(std::isnan(exact.oobR2()));
-    ASSERT_FALSE(std::isnan(hist.oobR2()));
-    EXPECT_NEAR(hist.oobR2(), exact.oobR2(), 0.05);
-
-    // Holdout predictions track the exact-mode forest closely.
-    const auto test = continuousData(150, 133);
-    std::vector<double> truth, pe, ph;
-    for (std::size_t i = 0; i < test.size(); ++i) {
-        truth.push_back(test.target(i));
-        pe.push_back(exact.predictScalar(test.x(i)));
-        ph.push_back(hist.predictScalar(test.x(i)));
-    }
-    EXPECT_LT(mae(truth, ph), mae(truth, pe) * 1.25 + 0.1);
-}
-
-TEST(HistogramTraining, DeterministicAndExactThresholdsOnDiscrete)
-{
-    // Same seed -> identical forests; on all-discrete features every
-    // distinct value is its own bin, so the candidate thresholds are
-    // exactly the exact-mode midpoints between neighboring values.
-    const auto data = tiedData(200, 141);
-    RandomForestRegressor a(configFor(SplitMode::histogram));
-    RandomForestRegressor b(configFor(SplitMode::histogram));
-    a.fit(data, 142);
-    b.fit(data, 142);
-    expectForestsIdentical(a, b);
-
-    const auto bins = BinIndex::build(data);
-    ASSERT_NE(bins, nullptr);
-    EXPECT_EQ(bins->binCount(0), 6u); // values 0..5
-    EXPECT_DOUBLE_EQ(bins->threshold(0, 0), 0.5);
-    EXPECT_DOUBLE_EQ(bins->threshold(0, 4), 4.5);
-}
-
-TEST(HistogramTraining, ForestSharesAndExtendsBinIndex)
-{
-    auto data = continuousData(300, 151);
-    RandomForestRegressor forest(configFor(SplitMode::histogram));
-    forest.fit(data, 152);
-    const auto bins = forest.binIndex();
-    ASSERT_NE(bins, nullptr);
-    EXPECT_EQ(bins->rows(), 300u);
-
-    // Copies share the index; exact-mode forests have none.
-    const RandomForestRegressor copy = forest;
-    EXPECT_EQ(copy.binIndex().get(), bins.get());
-    RandomForestRegressor exact(configFor(SplitMode::exact));
-    exact.fit(data, 153);
-    EXPECT_EQ(exact.binIndex(), nullptr);
-
-    // Warm start on the grown dataset extends rather than rebuilds:
-    // the original rows keep their codes and the original edges keep
-    // their thresholds; only the new rows are coded.
-    data.append(continuousData(100, 154));
-    forest.warmStart(data, 5, 155);
-    const auto extended = forest.binIndex();
-    ASSERT_NE(extended, nullptr);
-    EXPECT_EQ(extended->rows(), 400u);
-    for (std::size_t f = 0; f < 3; ++f) {
-        EXPECT_EQ(extended->binCount(f), bins->binCount(f));
-        for (std::size_t i = 0; i < 300; i += 37)
-            EXPECT_EQ(extended->code(i, f), bins->code(i, f));
-        for (std::size_t b = 0; b + 1 < bins->binCount(f); b += 11)
-            EXPECT_EQ(extended->threshold(f, b), bins->threshold(f, b));
-    }
-    // The base copy still sees the original, un-mutated index.
-    EXPECT_EQ(copy.binIndex()->rows(), 300u);
-}
-
-TEST(HistogramTraining, WarmStartWithOutOfRangeRowsSurvives)
-{
-    // Regression test: appended gauges can carry values outside the
-    // original bin edges or inside between-bin gaps, where the bin
-    // code and the stored threshold disagree — training partitions by
-    // code, so the grower must not hit a degenerate split.
-    auto data = continuousData(250, 161);
-    RandomForestRegressor forest(configFor(SplitMode::histogram, 15));
-    forest.fit(data, 162);
-
-    Rng rng(163);
-    for (int i = 0; i < 120; ++i) {
-        // Deliberately out of the training range on every feature.
-        const double a = rng.uniform(-5.0, 20.0);
-        const double b = rng.uniform(-5.0, 20.0);
-        const double c = rng.uniform(-2.0, 3.0);
-        data.add({a, b, c}, 3.0 * a + b - 2.0 * c);
-    }
-    forest.warmStart(data, 10, 164);
-    EXPECT_EQ(forest.treeCount(), 25u);
-    EXPECT_EQ(forest.binIndex()->rows(), data.size());
-    // Still a sane regressor after the extension.
-    EXPECT_NEAR(forest.predictScalar({5.0, 5.0, 0.5}), 19.0, 6.0);
-}
-
-TEST(BinIndex, CodesAreMonotoneAndClampOutOfRange)
-{
-    Dataset data(1, 1);
-    for (double v : {1.0, 2.0, 2.0, 5.0, 9.0})
-        data.add({v}, v);
-    const auto bins = BinIndex::build(data);
-    EXPECT_EQ(bins->binCount(0), 4u);
-    EXPECT_EQ(bins->codeValue(0, 1.0), 0);
-    EXPECT_EQ(bins->codeValue(0, 2.0), 1);
-    EXPECT_EQ(bins->codeValue(0, 3.0), 2); // gap -> next bin up
-    EXPECT_EQ(bins->codeValue(0, 9.0), 3);
-    EXPECT_EQ(bins->codeValue(0, -4.0), 0);  // clamp low
-    EXPECT_EQ(bins->codeValue(0, 100.0), 3); // clamp high
-
-    Dataset shrunk(1, 1);
-    shrunk.add({1.0}, 1.0);
-    EXPECT_THROW(bins->extended(shrunk), FatalError);
-}
-
-TEST(BinIndex, QuantileBinningCapsBinCount)
-{
-    Dataset data(1, 1);
-    Rng rng(171);
-    for (int i = 0; i < 4000; ++i) {
-        const double v = rng.uniform(0.0, 1000.0);
-        data.add({v}, v);
-    }
-    const auto bins = BinIndex::build(data);
-    EXPECT_LE(bins->binCount(0), BinIndex::kMaxBins);
-    EXPECT_GE(bins->binCount(0), BinIndex::kMaxBins / 2);
-    // For *training* values, codes and thresholds agree: x <=
-    // threshold(b) iff code <= b. (Unseen values inside a between-bin
-    // gap may disagree — that is why histogram training partitions by
-    // code, not threshold.)
-    for (std::size_t i = 0; i < data.size(); i += 13) {
-        const double v = data.x(i)[0];
-        const std::size_t code = bins->codeValue(0, v);
-        if (code + 1 < bins->binCount(0))
-            EXPECT_LE(v, bins->threshold(0, code));
-        if (code > 0)
-            EXPECT_GT(v, bins->threshold(0, code - 1));
-    }
-}
-
-// ---- facade plumbing -------------------------------------------------------
-
-TEST(WanifyRetrain, HistogramBinIndexRidesWarmStarts)
-{
-    // The facade's retrain copies the base predictor, so the shared
-    // BinIndex travels with it and the warm start extends it against
-    // the grown campaign dataset instead of re-binning.
-    core::WanifyConfig cfg;
-    cfg.forest.nEstimators = 10;
-    cfg.forest.tree.splitMode = ml::SplitMode::histogram;
-    cfg.retrainExtraTrees = 5;
-    core::Wanify wanify(cfg);
-
-    auto makeRows = [](std::size_t n, std::uint64_t seed) {
-        Rng rng(seed);
-        Dataset rows(monitor::kFeatureCount, 1);
-        for (std::size_t i = 0; i < n; ++i) {
-            rows.add({2.0 + rng.uniformInt(0, 6),
-                      rng.uniform(20.0, 2000.0),
-                      rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
-                      rng.uniform(0.0, 0.5),
-                      rng.uniform(100.0, 11000.0)},
-                     rng.uniform(50.0, 1500.0));
-        }
-        return rows;
-    };
-
-    auto base =
-        std::make_shared<core::RuntimeBwPredictor>(cfg.forest);
-    auto campaign = makeRows(200, 181);
-    base->train(campaign, 182);
-    ASSERT_NE(base->forest().binIndex(), nullptr);
-    EXPECT_EQ(base->forest().binIndex()->rows(), 200u);
-    wanify.setPredictor(base);
-
-    campaign.append(makeRows(50, 183));
-    const auto retrained = wanify.retrain(campaign, 184);
-    ASSERT_NE(retrained, nullptr);
-    EXPECT_EQ(retrained->forest().treeCount(), 15u);
-    EXPECT_EQ(retrained->forest().binIndex()->rows(), 250u);
-    // The pinned base snapshot keeps its original, un-mutated index.
-    EXPECT_EQ(base->forest().binIndex()->rows(), 200u);
-    for (std::size_t f = 0; f < monitor::kFeatureCount; ++f)
-        EXPECT_EQ(retrained->forest().binIndex()->binCount(f),
-                  base->forest().binIndex()->binCount(f));
+    // A TrainingContext is the exact engine's presort; a tree
+    // configured for any other engine must refuse it by name.
+    const auto data = tiedData(60, 131);
+    const TrainingContext ctx(data);
+    TreeConfig cfg;
+    cfg.splitMode = SplitMode::nodeSort;
+    DecisionTreeRegressor tree(cfg);
+    Rng rng(132);
+    EXPECT_THROW(tree.fit(ctx, {0, 1, 2, 3, 4, 5}, rng), FatalError);
+    EXPECT_FALSE(tree.trained());
 }
 
 // ---- retrain latency aggregation -------------------------------------------

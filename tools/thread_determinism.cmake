@@ -1,8 +1,12 @@
 # Determinism contract: a fixed seed prints byte-identical stdout at
 # any pool size. Runs a serve drain and the scenario verifier at
 # WANIFY_THREADS=1 and WANIFY_THREADS=4 and fails on any difference.
+# With the optional -DFIG11=, it also checks
+# bench_fig11_prediction_accuracy, which trains the campaign forests
+# on the pool.
 #
 #   cmake -DSERVE=path/to/wanify-serve -DSCENARIO=path/to/wanify-scenario \
+#         [-DFIG11=path/to/bench_fig11_prediction_accuracy] \
 #         -P tools/thread_determinism.cmake
 
 foreach(var SERVE SCENARIO)
@@ -40,3 +44,9 @@ endfunction()
 expect_thread_invariant(${SERVE} run --queries 40 --dcs 6 --concurrent 24
                         --window 20 --retrain-every 15 --seed 7)
 expect_thread_invariant(${SCENARIO} verify --dcs 4 --vms 2 --horizon 120)
+if(DEFINED FIG11)
+  if(NOT EXISTS "${FIG11}")
+    message(FATAL_ERROR "thread_determinism: no binary at -DFIG11=${FIG11}")
+  endif()
+  expect_thread_invariant(${FIG11})
+endif()
