@@ -44,64 +44,6 @@ meanAbsOffDiag(const Matrix<Mbps> &a, const Matrix<Mbps> &b)
     return pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
 }
 
-/**
- * Per-run dynamics state: applies the (shared, immutable) scenario
- * timeline to this run's simulator and drives the shared burst
- * cursor, accounting burst bytes so flash-crowd traffic is not
- * billed to the query.
- */
-class DynamicsState
-{
-  public:
-    DynamicsState(const scenario::Dynamics *dyn, NetworkSim &sim,
-                  const net::Topology &topo)
-        : dyn_(dyn),
-          sim_(sim),
-          cursor_(dyn),
-          burstBytes_(Matrix<Bytes>::square(topo.dcCount(), 0.0))
-    {
-        fatalIf(dyn_ != nullptr && dyn_->dcCount() != 0 &&
-                    dyn_->dcCount() != topo.dcCount(),
-                "Engine: dynamics compiled for a different cluster "
-                "size");
-    }
-
-    /** Install conditions of scenario time @p t; open bursts due in
-     *  (lastT, t] and close the expired ones. */
-    void
-    advanceTo(Seconds t)
-    {
-        if (dyn_ == nullptr)
-            return;
-        dyn_->applyAt(sim_, t);
-        cursor_.advanceTo(sim_, t, &burstBytes_);
-    }
-
-    /** Stop every remaining burst and settle the byte accounting. */
-    void
-    finish()
-    {
-        cursor_.finish(sim_, &burstBytes_);
-    }
-
-    const Matrix<Bytes> &burstBytes() const { return burstBytes_; }
-
-    /** Bytes the currently active bursts have moved so far. */
-    Matrix<Bytes>
-    activeBurstMoved(std::size_t n) const
-    {
-        Matrix<Bytes> out = Matrix<Bytes>::square(n, 0.0);
-        cursor_.accumulateMoved(sim_, out);
-        return out;
-    }
-
-  private:
-    const scenario::Dynamics *dyn_;
-    NetworkSim &sim_;
-    scenario::BurstCursor cursor_;
-    Matrix<Bytes> burstBytes_;
-};
-
 /** One in-flight shuffle transfer of the current stage. */
 struct PendingTransfer
 {
@@ -122,69 +64,6 @@ struct RetryItem
     Bytes bytes;
     std::size_t attempt = 0;
     Seconds due = 0.0;
-};
-
-/**
- * Brackets a control-plane measurement window. Construction records
- * the per-pair byte counters, the job transfers' progress, and the
- * active bursts' progress; destruction bills the window's *extra*
- * bytes (probe traffic = growth minus job minus bursts) to
- * controlBytes, never to the query. RAII keeps the two halves of the
- * accounting paired however the gauging code between them evolves.
- */
-class ControlProbe
-{
-  public:
-    ControlProbe(NetworkSim &sim, const DynamicsState &dynamics,
-                 const std::map<TransferId, PendingTransfer> &pending,
-                 Matrix<Bytes> &controlBytes)
-        : sim_(sim),
-          dynamics_(dynamics),
-          pending_(pending),
-          controlBytes_(controlBytes),
-          n_(controlBytes.rows()),
-          probe_(Matrix<Bytes>::square(n_, 0.0)),
-          burstBefore_(dynamics.activeBurstMoved(n_))
-    {
-        for (DcId i = 0; i < n_; ++i)
-            for (DcId j = 0; j < n_; ++j)
-                probe_.at(i, j) = -sim_.pairBytes(i, j);
-        for (const auto &[id, t] : pending_)
-            jobMoved_[id] = sim_.status(id).bytesMoved;
-    }
-
-    ~ControlProbe()
-    {
-        // Bursts settle their own bill via burstBytes when they
-        // stop; here only their in-window progress is netted out.
-        const Matrix<Bytes> burstAfter =
-            dynamics_.activeBurstMoved(n_);
-        for (DcId i = 0; i < n_; ++i)
-            for (DcId j = 0; j < n_; ++j)
-                probe_.at(i, j) += sim_.pairBytes(i, j) -
-                                   (burstAfter.at(i, j) -
-                                    burstBefore_.at(i, j));
-        for (const auto &[id, t] : pending_)
-            probe_.at(t.src, t.dst) -=
-                sim_.status(id).bytesMoved - jobMoved_[id];
-        for (DcId i = 0; i < n_; ++i)
-            for (DcId j = 0; j < n_; ++j)
-                controlBytes_.at(i, j) +=
-                    std::max(0.0, probe_.at(i, j));
-    }
-
-    ControlProbe(const ControlProbe &) = delete;
-    ControlProbe &operator=(const ControlProbe &) = delete;
-
-  private:
-    NetworkSim &sim_;
-    const DynamicsState &dynamics_;
-    const std::map<TransferId, PendingTransfer> &pending_;
-    Matrix<Bytes> &controlBytes_;
-    std::size_t n_;
-    Matrix<Bytes> probe_;
-    Matrix<Bytes> burstBefore_;
-    std::map<TransferId, Bytes> jobMoved_;
 };
 
 } // namespace
@@ -266,8 +145,8 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     // Scenario time zero is job start: install initial conditions
     // before WANify snapshots the network, so prediction and planning
     // see the scenario's opening state.
-    DynamicsState dynamics(opts.dynamics, sim, topo_);
-    dynamics.advanceTo(sim.now());
+    scenario::DynamicsCursor dynamics(opts.dynamics, n);
+    dynamics.advanceTo(sim, sim.now());
 
     // --- WANify deployment (Section 4.1) ---------------------------------
     core::GlobalPlan plan;
@@ -323,18 +202,15 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         return 1;
     };
 
+    // The query's bill is a ledger of its own shuffle transfers: each
+    // adds the bytes it moved when it leaves the simulator (completed
+    // or stopped). WANify's probes and flash-crowd bursts are other
+    // transfers, so they never enter it.
     QueryResult result;
     result.wanBytesByPair = Matrix<Bytes>::square(n, 0.0);
-    Matrix<Bytes> bytesAtStart = Matrix<Bytes>::square(n, 0.0);
-    for (DcId i = 0; i < n; ++i)
-        for (DcId j = 0; j < n; ++j)
-            bytesAtStart.at(i, j) = sim.pairBytes(i, j);
-
-    // WANify's own mid-run re-measurement probes (retrain path) are
-    // control-plane traffic: collected here and excluded from the
-    // query's bill, consistent with the initial snapshot (measured
-    // before bytesAtStart) and with flash-crowd bursts.
-    Matrix<Bytes> controlBytes = Matrix<Bytes>::square(n, 0.0);
+    auto bill = [&](DcId src, DcId dst, Bytes moved) {
+        result.wanBytesByPair.at(src, dst) += moved;
+    };
 
     // Training rows gauged at runtime accumulate across this run's
     // retrains (Section 3.3.4: "the additionally collected samples");
@@ -477,11 +353,12 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         auto it = pending.find(id);
         if (it == pending.end())
             return;
-        const auto status = sim.status(id);
-        if (!status.exists || status.done ||
-            status.bytesRemaining < 1.0)
+        const auto live = sim.status(id);
+        if (!live.exists || live.bytesRemaining < 1.0)
             return; // effectively delivered; completion handling owns it
         const PendingTransfer t = it->second;
+        const auto status = sim.stopTransfer(id);
+        bill(t.src, t.dst, status.bytesMoved);
         assignment.at(t.src, t.dst) -= status.bytesRemaining;
         if (status.bytesMoved >= 1.0) {
             PendingTransfer part = t;
@@ -489,7 +366,6 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             part.done = sim.now();
             retired.push_back(part);
         }
-        sim.stopTransfer(id);
         pending.erase(it);
         ++result.transferAborts;
         result.lostBytes += status.bytesRemaining;
@@ -625,8 +501,8 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
     // paper), convert the gauge into training rows, warm-start
     // retrain the pinned model, then re-predict from a second
     // out-of-sample gauge, re-plan, and redeploy fresh agents. The
-    // ControlProbe brackets the whole window so the probes bill to
-    // WANify's control plane, not the query.
+    // gauges' probes are measurement flows, so the query's ledger
+    // never sees them.
     auto retrainAndRedeploy =
         [&](Seconds &nextEpoch) {
             fault::FaultKind gaugeKind = fault::FaultKind::ProbeLoss;
@@ -669,14 +545,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 nextEpoch = sim.now();
                 return;
             }
-            // Scoped so the probe settles its control-plane bill
-            // before any re-planned transfer starts; a transfer
-            // opened inside the window would otherwise be misread
-            // as probe traffic.
-            {
             deployment.clear(sim);
-            const ControlProbe probe(sim, dynamics, pending,
-                                     controlBytes);
 
             // Gauge A: the stale model's error under current
             // conditions, and the training rows.
@@ -734,7 +603,6 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             ++result.retrainsApplied;
             predicted = gaugeB.predicted;
             redeploy(predicted);
-            }
             trend.record(sim.now(), predicted);
             // A gauge landed: the predictor proved itself, so the
             // degradation ladder steps one rung back up.
@@ -753,21 +621,20 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 std::vector<TransferId> liveIds;
                 for (const auto &[id, t] : pending) {
                     const auto st = sim.status(id);
-                    if (!st.exists || st.done ||
-                        st.bytesRemaining < 1.0)
+                    if (!st.exists || st.bytesRemaining < 1.0)
                         continue;
                     residual[t.src] += st.bytesRemaining;
                     liveIds.push_back(id);
                 }
                 if (!liveIds.empty()) {
                     for (const TransferId id : liveIds) {
-                        const auto st = sim.status(id);
+                        const auto st = sim.stopTransfer(id);
                         PendingTransfer part = pending.at(id);
+                        bill(part.src, part.dst, st.bytesMoved);
                         assignment.at(part.src, part.dst) -=
                             st.bytesRemaining;
                         part.bytes = st.bytesMoved;
                         part.done = sim.now();
-                        sim.stopTransfer(id);
                         retired.push_back(part);
                         pending.erase(id);
                     }
@@ -868,18 +735,18 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 // Queued retries die with the stage — their bytes
                 // already left the assignment.
                 for (const auto &[id, t] : pending)
-                    sim.stopTransfer(id);
+                    bill(t.src, t.dst, sim.stopTransfer(id).bytesMoved);
                 retries.clear();
                 break;
             }
             if (ev.kind == ClockEventKind::FaultEdge) {
-                dynamics.advanceTo(sim.now());
+                dynamics.advanceTo(sim, sim.now());
                 applyFaultsUpTo(sim.now());
                 startDueRetries();
                 continue;
             }
             if (ev.kind == ClockEventKind::RetryDue) {
-                dynamics.advanceTo(sim.now());
+                dynamics.advanceTo(sim, sim.now());
                 startDueRetries();
                 continue;
             }
@@ -888,7 +755,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                 // new conditions (and open/close bursts) mid-epoch.
                 // When the edge coincides with a tick, the tick pops
                 // first (kind order) and this is an idempotent no-op.
-                dynamics.advanceTo(sim.now());
+                dynamics.advanceTo(sim, sim.now());
                 continue;
             }
             Seconds tickBase = ev.time;
@@ -898,7 +765,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                     continue;
                 agent->onEpoch();
             }
-            dynamics.advanceTo(sim.now());
+            dynamics.advanceTo(sim, sim.now());
 
             if (opts.wanify != nullptr) {
                 drift.observe(sim);
@@ -927,11 +794,14 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
             clock.push(tickBase + epoch, ClockEventKind::EpochTick);
         }
 
-        // Collect completion times per transfer.
+        // Collect completion times per transfer and bill what each
+        // moved.
         for (const auto &rec : sim.drainCompletions()) {
             auto it = pending.find(rec.id);
-            if (it != pending.end())
-                it->second.done = rec.time;
+            if (it == pending.end())
+                continue;
+            it->second.done = rec.time;
+            bill(it->second.src, it->second.dst, rec.bytesMoved);
         }
 
         // Min pair BW: the paper's "minimum BW of the cluster" — the
@@ -993,7 +863,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
                     continue;
                 if (cp.time > sim.now())
                     sim.advanceBy(cp.time - sim.now());
-                dynamics.advanceTo(sim.now());
+                dynamics.advanceTo(sim, sim.now());
             }
         }
         if (stageEnd > sim.now())
@@ -1001,7 +871,7 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
         // Keep the scenario clock current through the compute phase
         // so the next stage's shuffle starts under the right
         // conditions.
-        dynamics.advanceTo(sim.now());
+        dynamics.advanceTo(sim, sim.now());
         // Crashes and recoveries during the compute phase land here;
         // transfer-killing faults are no-ops (everything delivered).
         applyFaultsUpTo(sim.now());
@@ -1013,22 +883,9 @@ Engine::run(const JobSpec &job, const std::vector<Bytes> &inputByDc,
 
     if (opts.wanify != nullptr)
         deployment.clear(sim);
-    dynamics.finish();
+    dynamics.finish(sim);
 
     result.latency = sim.now() - jobStart;
-    for (DcId i = 0; i < n; ++i) {
-        for (DcId j = 0; j < n; ++j) {
-            if (i == j)
-                continue;
-            // Flash-crowd bursts are other tenants' data and the
-            // retrain probes are WANify's control plane: neither is
-            // billed to the query.
-            result.wanBytesByPair.at(i, j) = std::max(
-                0.0, sim.pairBytes(i, j) - bytesAtStart.at(i, j) -
-                         dynamics.burstBytes().at(i, j) -
-                         controlBytes.at(i, j));
-        }
-    }
 
     const cost::CostModel costModel(topo_);
     result.cost = costModel.queryCost(

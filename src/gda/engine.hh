@@ -153,6 +153,14 @@ struct QueryResult
     std::size_t blackouts = 0;
 
     std::vector<StageResult> stages;
+
+    /**
+     * The query's WAN bill per ordered DC pair: the bytes its own
+     * shuffle transfers moved, each added when the transfer left the
+     * simulator (completed, aborted, stopped by a forecast re-plan or
+     * by the stage guard). WANify's gauge probes and scenario bursts
+     * are separate flows and never enter it. Feeds the cost model.
+     */
     Matrix<Bytes> wanBytesByPair;
 };
 

@@ -115,15 +115,15 @@ NetworkSim::startMeasurement(VmId src, VmId dst, int connections)
     return makeTransfer(src, dst, 0.0, connections, true, 0);
 }
 
-void
+TransferStatus
 NetworkSim::stopTransfer(TransferId id)
 {
-    auto it = transfers_.find(id);
-    if (it == transfers_.end())
-        return;
-    completed_[id] = it->second;
-    transfers_.erase(it);
-    ratesDirty_ = true;
+    const TransferStatus last = status(id);
+    if (last.exists) {
+        transfers_.erase(id);
+        ratesDirty_ = true;
+    }
+    return last;
 }
 
 void
@@ -144,13 +144,6 @@ NetworkSim::setTcLimit(DcId src, DcId dst, Mbps limit)
 {
     const std::size_t pair = topology_.pairIndex(src, dst);
     tcLimits_[pair] = limit > 0.0 ? limit : 0.0;
-    ratesDirty_ = true;
-}
-
-void
-NetworkSim::clearTcLimits()
-{
-    std::fill(tcLimits_.begin(), tcLimits_.end(), 0.0);
     ratesDirty_ = true;
 }
 
@@ -502,9 +495,7 @@ NetworkSim::progress(Seconds dt)
     now_ += dt;
     for (TransferId id : finished) {
         auto it = transfers_.find(id);
-        it->second.remaining = 0.0;
-        completed_[id] = it->second;
-        completions_.push_back({id, now_});
+        completions_.push_back({id, now_, it->second.moved});
         transfers_.erase(it);
         ratesDirty_ = true;
     }
@@ -597,22 +588,9 @@ NetworkSim::status(TransferId id) const
     if (it != transfers_.end()) {
         const Transfer &t = it->second;
         st.exists = true;
-        st.done = false;
         st.bytesMoved = t.moved;
         st.bytesRemaining = t.measurement ? kInf : t.remaining;
         st.currentRate = t.rate;
-        st.bottleneck = t.bottleneck;
-        st.connections = t.connections;
-        return st;
-    }
-    auto ct = completed_.find(id);
-    if (ct != completed_.end()) {
-        const Transfer &t = ct->second;
-        st.exists = true;
-        st.done = true;
-        st.bytesMoved = t.moved;
-        st.bytesRemaining = 0.0;
-        st.currentRate = 0.0;
         st.bottleneck = t.bottleneck;
         st.connections = t.connections;
     }
@@ -702,17 +680,6 @@ NetworkSim::pendingBytesBetween(DcId src, DcId dst) const
     for (const auto &[id, t] : transfers_) {
         if (t.srcDc == src && t.dstDc == dst && !t.measurement)
             total += t.remaining;
-    }
-    return total;
-}
-
-int
-NetworkSim::totalConnectionsAtVm(VmId vm) const
-{
-    int total = 0;
-    for (const auto &[id, t] : transfers_) {
-        if (t.srcVm == vm || t.dstVm == vm)
-            total += t.connections;
     }
     return total;
 }

@@ -42,18 +42,24 @@ using TransferId = std::uint64_t;
  */
 using FlowGroupId = std::uint64_t;
 
-/** A transfer completion event. */
+/**
+ * A finite transfer's completion event: the last thing the simulator
+ * reports about it. The transfer leaves the active set when it
+ * completes, so callers that bill moved bytes read them here.
+ */
 struct CompletionRecord
 {
     TransferId id = 0;
     Seconds time = 0.0;
+
+    /** Bytes the transfer moved over its lifetime. */
+    Bytes bytesMoved = 0.0;
 };
 
-/** Snapshot of one transfer's progress. */
+/** Snapshot of one active transfer's progress. */
 struct TransferStatus
 {
     bool exists = false;
-    bool done = false;
     Bytes bytesMoved = 0.0;
     Bytes bytesRemaining = 0.0;
     Mbps currentRate = 0.0;
@@ -102,17 +108,20 @@ class NetworkSim
     /** Start an infinite (iPerf-style) measurement flow. */
     TransferId startMeasurement(VmId src, VmId dst, int connections = 1);
 
-    /** Remove a transfer (finite or measurement) before completion. */
-    void stopTransfer(TransferId id);
+    /**
+     * Remove a transfer (finite or measurement) before completion and
+     * return its final status: bytes moved so far and, for a finite
+     * transfer, the undelivered remainder. An id that is not active
+     * (unknown, completed or already stopped) returns a status with
+     * exists == false and zero bytes.
+     */
+    TransferStatus stopTransfer(TransferId id);
 
     /** Change the parallel connection count of an active transfer. */
     void setConnections(TransferId id, int connections);
 
     /** Set (or with limit <= 0, clear) a tc throttle on a DC pair. */
     void setTcLimit(DcId src, DcId dst, Mbps limit);
-
-    /** Remove all tc throttles. */
-    void clearTcLimits();
 
     // --- scenario overrides ------------------------------------------------
     //
@@ -199,6 +208,12 @@ class NetworkSim
 
     // --- telemetry ---------------------------------------------------------
 
+    /**
+     * Progress of an active transfer. The simulator keeps nothing
+     * about a transfer once it completes or is stopped: an inactive
+     * id returns exists == false. Its final bytes come from its
+     * CompletionRecord or from stopTransfer's return value.
+     */
     TransferStatus status(TransferId id) const;
 
     /** Instantaneous rate of one transfer. */
@@ -222,9 +237,6 @@ class NetworkSim
 
     /** Effective (fluctuated) path capacity right now. */
     Mbps effectivePathCap(DcId src, DcId dst) const;
-
-    /** Total parallel connections currently open at a VM (both dirs). */
-    int totalConnectionsAtVm(VmId vm) const;
 
     /** Ids of active transfers (incl. measurements) between two DCs. */
     std::vector<TransferId> transfersBetween(DcId src, DcId dst) const;
@@ -298,7 +310,6 @@ class NetworkSim
     bool ratesDirty_ = true;
 
     std::map<TransferId, Transfer> transfers_;
-    std::map<TransferId, Transfer> completed_;
     std::map<FlowGroupId, GroupState> groups_;
     std::vector<CompletionRecord> completions_;
     std::vector<Mbps> tcLimits_;      ///< per ordered pair; <=0 = none

@@ -63,66 +63,52 @@ Dynamics::faultPlan() const
     return nullptr;
 }
 
-BurstCursor::BurstCursor(const Dynamics *dynamics)
+DynamicsCursor::DynamicsCursor(const Dynamics *dynamics,
+                               std::size_t dcCount)
     : dynamics_(dynamics)
-{}
+{
+    fatalIf(dynamics_ != nullptr && dynamics_->dcCount() != 0 &&
+                dynamics_->dcCount() != dcCount,
+            "DynamicsCursor: dynamics compiled for a different cluster "
+            "size");
+}
 
 void
-BurstCursor::advanceTo(net::NetworkSim &sim, Seconds t,
-                       Matrix<Bytes> *movedBytes)
+DynamicsCursor::advanceTo(net::NetworkSim &sim, Seconds t)
 {
     if (dynamics_ == nullptr)
         return;
+    dynamics_->applyAt(sim, t);
     const auto &topo = sim.topology();
     for (const BurstFlow &flow : dynamics_->burstsIn(last_, t)) {
         panicIf(topo.dc(flow.src).vms.empty() ||
                     topo.dc(flow.dst).vms.empty(),
-                "BurstCursor: DC without VMs");
-        ActiveFlow active;
-        active.id = sim.startMeasurement(
-            topo.dc(flow.src).vms.front(),
-            topo.dc(flow.dst).vms.front(), flow.connections);
-        active.src = flow.src;
-        active.dst = flow.dst;
-        active.end = flow.start + flow.duration;
-        flows_.push_back(active);
+                "DynamicsCursor: DC without VMs");
+        flows_.push_back({sim.startMeasurement(
+                              topo.dc(flow.src).vms.front(),
+                              topo.dc(flow.dst).vms.front(),
+                              flow.connections),
+                          flow.start + flow.duration});
     }
     last_ = t;
     for (std::size_t i = 0; i < flows_.size();) {
-        if (t >= flows_[i].end - 1.0e-9)
-            stop(sim, i, movedBytes);
-        else
+        if (t >= flows_[i].end - 1.0e-9) {
+            sim.stopTransfer(flows_[i].id);
+            flows_[i] = flows_.back();
+            flows_.pop_back();
+        } else {
             ++i;
+        }
     }
 }
 
 void
-BurstCursor::finish(net::NetworkSim &sim, Matrix<Bytes> *movedBytes)
+DynamicsCursor::finish(net::NetworkSim &sim)
 {
-    while (!flows_.empty())
-        stop(sim, flows_.size() - 1, movedBytes);
-}
-
-void
-BurstCursor::accumulateMoved(const net::NetworkSim &sim,
-                             Matrix<Bytes> &out) const
-{
-    for (const auto &flow : flows_)
-        out.at(flow.src, flow.dst) +=
-            sim.status(flow.id).bytesMoved;
-}
-
-void
-BurstCursor::stop(net::NetworkSim &sim, std::size_t index,
-                  Matrix<Bytes> *movedBytes)
-{
-    const ActiveFlow flow = flows_[index];
-    if (movedBytes != nullptr)
-        movedBytes->at(flow.src, flow.dst) +=
-            sim.status(flow.id).bytesMoved;
-    sim.stopTransfer(flow.id);
-    flows_[index] = flows_.back();
-    flows_.pop_back();
+    while (!flows_.empty()) {
+        sim.stopTransfer(flows_.back().id);
+        flows_.pop_back();
+    }
 }
 
 ScenarioTimeline::ScenarioTimeline(ScenarioSpec spec,

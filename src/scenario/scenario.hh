@@ -233,51 +233,35 @@ class Dynamics
 };
 
 /**
- * Per-run burst cursor: tracks which of a Dynamics object's
- * background flows have been started on a simulator and stops them
- * once they expire. Flows scheduled inside an elapsed window
- * (lastT, t] open at the first advanceTo(t) that covers them — the
- * GDA engine and the standalone driver share this cursor so flash
- * crowds hit at identical times in either harness.
+ * Per-run dynamics cursor: the one way a harness (the GDA engine, the
+ * serve layer, the standalone driver) plays a Dynamics object onto its
+ * simulator. advanceTo(t) installs the conditions of scenario time t
+ * and then opens the background flows due in (lastT, t] and stops the
+ * expired ones, so every harness sees flash crowds at identical
+ * times. Burst flows are measurement flows on group 0: other tenants'
+ * traffic, never part of any query's transfers. A null Dynamics makes
+ * every call a no-op.
  */
-class BurstCursor
+class DynamicsCursor
 {
   public:
-    explicit BurstCursor(const Dynamics *dynamics);
+    /** Fails when @p dynamics was compiled for a cluster size other
+     *  than @p dcCount (a dcCount() of 0 fits any size). */
+    DynamicsCursor(const Dynamics *dynamics, std::size_t dcCount);
 
-    /**
-     * Open flows due in (lastT, t] (from each DC's first VM) and
-     * stop the expired ones. When @p movedBytes is non-null, each
-     * stopped flow's transferred bytes accumulate into it per
-     * ordered pair (burst traffic is other tenants' data and must
-     * not be billed to the job).
-     */
-    void advanceTo(net::NetworkSim &sim, Seconds t,
-                   Matrix<Bytes> *movedBytes = nullptr);
+    /** Apply the conditions of @p t, then open flows due in
+     *  (lastT, t] (from each DC's first VM) and stop expired ones. */
+    void advanceTo(net::NetworkSim &sim, Seconds t);
 
-    /** Stop every remaining flow and settle the accounting. */
-    void finish(net::NetworkSim &sim,
-                Matrix<Bytes> *movedBytes = nullptr);
-
-    /**
-     * Accumulate each *active* flow's bytes moved so far into
-     * @p out per ordered pair — lets callers net burst progress out
-     * of a measurement window without stopping the flows.
-     */
-    void accumulateMoved(const net::NetworkSim &sim,
-                         Matrix<Bytes> &out) const;
+    /** Stop every remaining flow. */
+    void finish(net::NetworkSim &sim);
 
   private:
     struct ActiveFlow
     {
         net::TransferId id = 0;
-        net::DcId src = 0;
-        net::DcId dst = 0;
         Seconds end = 0.0;
     };
-
-    void stop(net::NetworkSim &sim, std::size_t index,
-              Matrix<Bytes> *movedBytes);
 
     const Dynamics *dynamics_;
     Seconds last_ = -1.0;

@@ -8,17 +8,6 @@
 namespace wanify {
 namespace sched {
 
-std::vector<double>
-searchFractions(const gda::StageContext &ctx,
-                const AssignmentObjective &objective,
-                std::vector<double> seedFractions,
-                const FractionSearchConfig &cfg)
-{
-    return searchFractionsDetailed(ctx, objective,
-                                   std::move(seedFractions), cfg)
-        .fractions;
-}
-
 FractionSearchResult
 searchFractionsDetailed(const gda::StageContext &ctx,
                         const AssignmentObjective &objective,

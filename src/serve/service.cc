@@ -83,7 +83,8 @@ Service::Service(net::Topology topo, ServiceConfig cfg,
       sim_(topo_, simCfg, seed),
       rng_(seed ^ 0x5e17ce),
       allocator_(cfg.policy),
-      gaugedRows_(monitor::kFeatureCount, 1)
+      gaugedRows_(monitor::kFeatureCount, 1),
+      dynamics_(cfg.dynamics, topo_.dcCount())
 {
     fatalIf(cfg_.maxConcurrent == 0,
             "Service: maxConcurrent must be positive");
@@ -94,14 +95,6 @@ Service::Service(net::Topology topo, ServiceConfig cfg,
         for (net::VmId v : topo_.dc(dc).vms)
             computeRate_[dc] += topo_.vm(v).type.computeRate;
 
-    if (cfg_.dynamics != nullptr) {
-        fatalIf(cfg_.dynamics->dcCount() != 0 &&
-                    cfg_.dynamics->dcCount() != n,
-                "Service: dynamics compiled for a different cluster "
-                "size");
-        burstCursor_ =
-            std::make_unique<scenario::BurstCursor>(cfg_.dynamics);
-    }
     if (cfg_.faults == nullptr && cfg_.dynamics != nullptr)
         cfg_.faults = cfg_.dynamics->faultPlan();
     if (cfg_.faults != nullptr && cfg_.faults->empty())
@@ -109,17 +102,6 @@ Service::Service(net::Topology topo, ServiceConfig cfg,
     fatalIf(cfg_.faults != nullptr && cfg_.faults->dcCount() != n,
             "Service: fault plan compiled for a different cluster "
             "size");
-}
-
-void
-Service::applyDynamics()
-{
-    if (cfg_.dynamics == nullptr)
-        return;
-    cfg_.dynamics->applyAt(sim_, sim_.now());
-    // Scenario bursts are other tenants' flows: group 0, competing
-    // with every query through the allocator-managed mesh.
-    burstCursor_->advanceTo(sim_, sim_.now());
 }
 
 std::size_t
@@ -628,9 +610,8 @@ Service::checkStragglersAndGuards()
                 retry.push_back({id, t});
         }
         for (auto &[id, t] : retry) {
-            const net::TransferStatus st = sim_.status(id);
-            const Bytes remaining = st.bytesRemaining;
-            sim_.stopTransfer(id);
+            const Bytes remaining =
+                sim_.stopTransfer(id).bytesRemaining;
             q.pending.erase(id);
             if (remaining < 1.0)
                 continue;
@@ -794,7 +775,10 @@ Service::drain()
 
     while (!active_.empty() || nextArrival_ < arrivalOrder_.size() ||
            !requeue_.empty()) {
-        applyDynamics();
+        // Scenario bursts are other tenants' flows: group 0,
+        // competing with every query through the allocator-managed
+        // mesh.
+        dynamics_.advanceTo(sim_, sim_.now());
         applyFaults();
         admitDueQueries();
 
@@ -872,8 +856,7 @@ Service::drain()
         maybeRetrain();
     }
 
-    if (burstCursor_ != nullptr)
-        burstCursor_->finish(sim_);
+    dynamics_.finish(sim_);
     return buildReport();
 }
 

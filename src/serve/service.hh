@@ -197,7 +197,12 @@ struct QueryOutcome
     /** finished - admitted (execution only, queue wait excluded). */
     Seconds latency = 0.0;
 
-    /** Planned WAN bytes plus straggler re-sends. */
+    /**
+     * WAN bytes planned for the query plus every straggler re-send.
+     * Not the bytes moved: a redispatched transfer's undelivered
+     * remainder counts twice, once in its stage plan and again when
+     * it is re-sent, and a killed run's plans stay counted.
+     */
     Bytes wanBytes = 0.0;
 
     /** Worst WAN share the query ever planned a stage with. */
@@ -353,7 +358,6 @@ class Service
         Seconds due = 0.0;
     };
 
-    void applyDynamics();
     void applyFaults();
     std::size_t effectiveSlotCap() const;
     void killQueryRun(QueryState &q, Seconds at);
@@ -393,7 +397,7 @@ class Service
     std::size_t peakConcurrent_ = 0;
     std::size_t queuedAdmissions_ = 0;
 
-    std::unique_ptr<scenario::BurstCursor> burstCursor_;
+    scenario::DynamicsCursor dynamics_;
     Seconds admissionResumeAt_ = 0.0;
     Seconds holdCooloffUntil_ = 0.0;
     std::size_t forecastHeldAdmissions_ = 0;

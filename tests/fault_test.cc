@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
@@ -512,6 +513,116 @@ TEST(EngineFault, GaugeTimeoutDegradesLikeProbeLossAndCompletes)
                      PredictorHealthConfig{}, 2024);
     EXPECT_DOUBLE_EQ(hung.latency, again.latency);
     EXPECT_EQ(hung.gaugeFaults, again.gaugeFaults);
+}
+
+// ---- engine: byte conservation ----------------------------------------------
+
+namespace {
+
+/**
+ * Sends a fixed fraction of every DC's input to each DC and records
+ * every assignment it returns: the planned bytes the conservation
+ * oracle checks the engine's bill against, computed without the
+ * engine's help.
+ */
+class RecordingScheduler : public gda::Scheduler
+{
+  public:
+    explicit RecordingScheduler(std::vector<double> fractions)
+        : fractions_(std::move(fractions))
+    {}
+
+    std::string name() const override { return "recording"; }
+
+    Matrix<Bytes>
+    placeStage(const gda::StageContext &ctx) override
+    {
+        placed.push_back(
+            gda::assignmentFromFractions(ctx.inputByDc, fractions_));
+        return placed.back();
+    }
+
+    std::vector<Matrix<Bytes>> placed;
+
+  private:
+    std::vector<double> fractions_;
+};
+
+} // namespace
+
+TEST(EngineFault, WanBillConservesPlannedBytes)
+{
+    // Every way bytes can leave a flight early or share its pair at
+    // once: wildcard aborts retried on the same pair (a retry budget
+    // that never replans), a flash crowd on a pair the job uses, and
+    // a drift-triggering outage whose warm-start retrains gauge the
+    // live mesh mid-shuffle (forecast off, so flights keep going).
+    scenario::ScenarioSpec spec;
+    spec.name = "conservation";
+    scenario::ScenarioEvent outage;
+    outage.kind = scenario::EventKind::Outage;
+    outage.start = 10.0;
+    outage.duration = 80.0;
+    outage.residual = 0.3;
+    spec.events.push_back(outage);
+    scenario::ScenarioEvent crowd;
+    crowd.kind = scenario::EventKind::FlashCrowd;
+    crowd.src = 0;
+    crowd.dst = 1;
+    crowd.start = 2.0;
+    crowd.duration = 60.0;
+    spec.events.push_back(crowd);
+    for (const Seconds t : {5.0, 12.0, 40.0}) {
+        FaultEvent abort;
+        abort.kind = FaultKind::TransferAbort;
+        abort.time = t;
+        spec.faults.push_back(abort);
+    }
+    const scenario::ScenarioTimeline timeline(spec, 4, 99);
+
+    core::Wanify wanify(ladderWanifyConfig());
+    wanify.setPredictor(experiments::sharedPredictor());
+
+    const auto topo = experiments::workerCluster(4, 2);
+    const auto job = workloads::teraSort(24.0);
+    storage::HdfsStore hdfs(topo);
+    hdfs.loadSkewed(job.inputBytes, {0.55, 0.25, 0.15, 0.05});
+    RecordingScheduler scheduler({0.4, 0.3, 0.2, 0.1});
+
+    gda::Engine engine(topo, experiments::defaultSimConfig(), 2024);
+    gda::RunOptions opts;
+    opts.schedulerBw = Matrix<Mbps>::square(4, 500.0);
+    opts.wanify = &wanify;
+    opts.dynamics = &timeline;
+    opts.adaptOnDrift = true;
+    opts.retry.maxAttempts = 64;
+    const auto r = engine.run(job, hdfs.distribution(), scheduler, opts);
+
+    EXPECT_GT(r.transferAborts, 0u);
+    EXPECT_GT(r.transferRetries, 0u);
+    EXPECT_GT(r.retrainsApplied, 0u);
+    EXPECT_EQ(r.faultReplans, 0u);
+
+    // Per off-diagonal pair: billed == planned, within the simulator's
+    // one byte of completion slack per flight. Flights on a pair are
+    // its planned transfers plus at most every retry of the run.
+    for (net::DcId i = 0; i < 4; ++i) {
+        for (net::DcId j = 0; j < 4; ++j) {
+            if (i == j)
+                continue;
+            Bytes planned = 0.0;
+            double flights = static_cast<double>(r.transferRetries);
+            for (const Matrix<Bytes> &a : scheduler.placed) {
+                if (a.at(i, j) < 1.0)
+                    continue; // the engine sends no sub-byte flight
+                planned += a.at(i, j);
+                flights += 1.0;
+            }
+            EXPECT_GT(planned, 0.0) << i << "->" << j;
+            EXPECT_NEAR(r.wanBytesByPair.at(i, j), planned, flights)
+                << i << "->" << j;
+        }
+    }
 }
 
 // ---- aggregate rollup -------------------------------------------------------

@@ -659,8 +659,11 @@ TEST(NetworkSim, FiniteTransferCompletesOnSchedule)
     const auto id = sim.startTransfer(0, 1, 1.0e9, 1);
     const Seconds t = sim.runUntilAllComplete();
     EXPECT_NEAR(t, 8000.0 / 1718.8, 0.05);
-    EXPECT_TRUE(sim.status(id).done);
-    EXPECT_NEAR(sim.status(id).bytesMoved, 1.0e9, 10.0);
+    const auto recs = sim.drainCompletions();
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].id, id);
+    EXPECT_NEAR(recs[0].bytesMoved, 1.0e9, 10.0);
+    EXPECT_FALSE(sim.status(id).exists);
 }
 
 TEST(NetworkSim, CompletionsAreReported)
@@ -725,9 +728,13 @@ TEST(NetworkSim, StopTransferRemovesIt)
     NetworkSim sim(paperTopo(2), quiet(), 1);
     const auto id = sim.startTransfer(0, 1, 1.0e12, 1);
     sim.advanceBy(1.0);
-    sim.stopTransfer(id);
+    const auto last = sim.stopTransfer(id);
+    EXPECT_TRUE(last.exists);
+    EXPECT_NEAR(last.bytesMoved, sim.pairBytes(0, 1), 1.0e-6);
+    EXPECT_NEAR(last.bytesMoved + last.bytesRemaining, 1.0e12, 1.0);
     EXPECT_TRUE(sim.allTransfersDone());
-    EXPECT_TRUE(sim.status(id).done);
+    EXPECT_FALSE(sim.status(id).exists);
+    EXPECT_FALSE(sim.stopTransfer(id).exists);
 }
 
 TEST(NetworkSim, InvalidArgumentsFail)
@@ -850,10 +857,25 @@ TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
     });
 
     ASSERT_EQ(flatIds.size(), refIds.size());
+    // Finished transfers leave the simulator; their completion
+    // records (id order, time, bytes moved) must match too.
+    auto expectIdenticalCompletions = [&]() {
+        const auto a = flat.drainCompletions();
+        const auto b = ref.drainCompletions();
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t k = 0; k < a.size(); ++k) {
+            EXPECT_EQ(a[k].id, b[k].id) << "completion " << k;
+            EXPECT_EQ(a[k].time, b[k].time) << "completion " << k;
+            EXPECT_EQ(a[k].bytesMoved, b[k].bytesMoved)
+                << "completion " << k;
+        }
+    };
     auto expectIdenticalState = [&]() {
+        expectIdenticalCompletions();
         for (std::size_t k = 0; k < flatIds.size(); ++k) {
             const auto a = flat.status(flatIds[k]);
             const auto b = ref.status(refIds[k]);
+            EXPECT_EQ(a.exists, b.exists) << "flow " << k;
             EXPECT_EQ(a.currentRate, b.currentRate) << "flow " << k;
             EXPECT_EQ(a.bytesMoved, b.bytesMoved) << "flow " << k;
             EXPECT_EQ(a.bottleneck, b.bottleneck) << "flow " << k;
@@ -866,9 +888,10 @@ TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
     expectIdenticalState();
 
     // Mutate every dirty-tracking path mid-flight and recheck.
+    std::vector<TransferStatus> stopped;
     driveBoth([&](NetworkSim &sim, std::vector<TransferId> &ids) {
         sim.setConnections(ids[3], 6);
-        sim.stopTransfer(ids[10]);
+        stopped.push_back(sim.stopTransfer(ids[10]));
         sim.setGroupPairCap(1, 0, 1, 0.0); // clear a cap
         sim.setGroupWeight(2, 0.5);
         sim.setScenarioCapFactor(2, 3, 1.0);
@@ -876,10 +899,15 @@ TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)
         sim.clearGroupAllocations(2);
         sim.advanceBy(2.0);
     });
+    ASSERT_EQ(stopped.size(), 2u);
+    EXPECT_EQ(stopped[0].exists, stopped[1].exists);
+    EXPECT_EQ(stopped[0].bytesMoved, stopped[1].bytesMoved);
+    EXPECT_EQ(stopped[0].bytesRemaining, stopped[1].bytesRemaining);
     expectIdenticalState();
 
     const Seconds doneFlat = flat.runUntilAllComplete(600.0);
     const Seconds doneRef = ref.runUntilAllComplete(600.0);
     EXPECT_EQ(doneFlat, doneRef);
     EXPECT_TRUE(flat.allTransfersDone());
+    expectIdenticalCompletions();
 }

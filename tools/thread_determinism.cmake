@@ -1,5 +1,7 @@
 # Determinism contract: a fixed seed prints byte-identical stdout at
-# any pool size. Runs a serve drain and the scenario verifier at
+# any pool size. Runs a serve drain, the scenario verifier and an
+# adaptive engine run (drift -> gauge -> warm-start retrain, so the
+# query's bill is taken while gauges run mid-shuffle) at
 # WANIFY_THREADS=1 and WANIFY_THREADS=4 and fails on any difference.
 # With the optional -DFIG11=, it also checks
 # bench_fig11_prediction_accuracy, which trains the campaign forests
@@ -44,6 +46,8 @@ endfunction()
 expect_thread_invariant(${SERVE} run --queries 40 --dcs 6 --concurrent 24
                         --window 20 --retrain-every 15 --seed 7)
 expect_thread_invariant(${SCENARIO} verify --dcs 4 --vms 2 --horizon 120)
+expect_thread_invariant(${SCENARIO} run dc-outage --dcs 4 --vms 2 --adapt
+                        --retrain --runs 2 --seed 7)
 if(DEFINED FIG11)
   if(NOT EXISTS "${FIG11}")
     message(FATAL_ERROR "thread_determinism: no binary at -DFIG11=${FIG11}")
