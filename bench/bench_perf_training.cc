@@ -14,18 +14,23 @@
  *
  * Both full fits (the Bandwidth Analyzer campaign path) and 25-tree
  * warm starts on a grown dataset (the Section 3.3.4 drift-retrain
- * stall) are measured. Results are printed as a table and emitted to
- * BENCH_training.json (override with --out) for the perf trajectory.
- * CI runs the full mode, which enforces a lenient same-machine fit
- * speedup floor (exact >= 2x) far under what quiet machines measure,
- * so a real regression fails loudly even on slow shared runners;
- * --smoke shrinks the workload for quick local iteration and applies
- * only the parity gate.
+ * stall) are measured. A third timing follows one engine retrain
+ * end to end — copy a compiled base forest, warm-start 25 trees,
+ * compile — on a 100-tree and a 400-tree base: since copies share
+ * trees and compiled chunks, both should cost the 25 new trees.
+ * Results are printed as a table and emitted to BENCH_training.json
+ * (override with --out) for the perf trajectory. CI runs the full
+ * mode, which enforces lenient same-machine floors far under what
+ * quiet machines measure (exact fit speedup >= 2x; the 400-tree
+ * retrain <= 1.5x the 100-tree one), so a real regression fails
+ * loudly even on slow shared runners; --smoke shrinks the workload
+ * for quick local iteration and applies only the parity gate.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -184,6 +189,32 @@ main(int argc, char **argv)
         }
     }
 
+    // --- timed engine retrains (copy + warm start + compile) ---------------
+    // Wanify::retrain copies the pinned base, which its own gauges
+    // have compiled, warm-starts it, and the first predictMatrix
+    // compiles the result; only the copy's destruction is unclocked.
+    auto retrainEngineMs = [&](std::size_t baseTrees) {
+        ml::RandomForestRegressor base(
+            forestConfig(baseTrees, ml::SplitMode::exact));
+        base.fit(data, seed);
+        base.compiled();
+        double best = 0.0;
+        for (std::size_t rep = 0; rep < reps; ++rep) {
+            std::optional<ml::RandomForestRegressor> f;
+            const double ms = bestOfMs(1, [&] {
+                f.emplace(base);
+                f->warmStart(grown, extraTrees, seed + rep);
+                gSink = static_cast<double>(f->compiled().treeCount());
+            });
+            if (rep == 0 || ms < best)
+                best = ms;
+        }
+        return best;
+    };
+    const double retrainBase100Ms = retrainEngineMs(100);
+    const double retrainBase400Ms = retrainEngineMs(400);
+    const double retrainGrowth = retrainBase400Ms / retrainBase100Ms;
+
     const double fitSpeedupExact = fitNodeSortMs / fitExactMs;
     const double wsSpeedupExact = wsNodeSortMs / wsExactMs;
 
@@ -200,6 +231,11 @@ main(int argc, char **argv)
                   Table::num(wsExactMs, 0),
                   Table::num(wsSpeedupExact, 1) + "x"});
     table.print();
+    std::printf("engine retrain (copy + warmStart +%zu + compile): "
+                "100-tree base %.1f ms, 400-tree base %.1f ms "
+                "(%.2fx)\n",
+                extraTrees, retrainBase100Ms, retrainBase400Ms,
+                retrainGrowth);
     std::printf("parity: exact-mode forest bit-identical to the "
                 "nodeSort reference\n");
 
@@ -218,7 +254,9 @@ main(int argc, char **argv)
          {"warmstart_nodesort_ms", wsNodeSortMs},
          {"warmstart_exact_ms", wsExactMs},
          {"speedup_fit_exact", fitSpeedupExact},
-         {"speedup_warmstart_exact", wsSpeedupExact}});
+         {"speedup_warmstart_exact", wsSpeedupExact},
+         {"retrain_engine_ms_base100", retrainBase100Ms},
+         {"retrain_engine_ms_base400", retrainBase400Ms}});
     std::printf("wrote %s\n", outPath.c_str());
 
     // Smoke mode gates on parity only; full runs (CI included)
@@ -228,6 +266,13 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "exact fit speedup %.1fx below the 2x floor\n",
                      fitSpeedupExact);
+        return 1;
+    }
+    if (!smoke && retrainGrowth > 1.5) {
+        std::fprintf(stderr,
+                     "400-tree retrain %.1f ms is %.2fx the 100-tree "
+                     "one, above the 1.5x ceiling\n",
+                     retrainBase400Ms, retrainGrowth);
         return 1;
     }
     return 0;

@@ -115,9 +115,13 @@ class Wanify
      * pinned. Returns the retrained predictor. Safe to call from
      * parallel trials; deterministic in (base, data, seed).
      *
-     * The pinned base is never mutated. The engine reports the wall
-     * time of each retrain in QueryResult::retrainLatencies; that
-     * stall is what bounds the adaptation cadence.
+     * The pinned base is never mutated. The copy shares the base's
+     * immutable trees and compiled chunks, so a retrain plus the new
+     * model's first prediction cost the retrainExtraTrees new trees
+     * (grown, OOB-scored and compiled into one new chunk), not the
+     * base ensemble. The engine reports the wall time of each
+     * retrain in QueryResult::retrainLatencies; that stall is what
+     * bounds the adaptation cadence.
      */
     std::shared_ptr<const RuntimeBwPredictor>
     retrain(const ml::Dataset &data, std::uint64_t seed,

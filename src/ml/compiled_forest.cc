@@ -9,46 +9,109 @@
 namespace wanify {
 namespace ml {
 
-CompiledForest::CompiledForest(
-    const std::vector<DecisionTreeRegressor> &trees)
+namespace {
+
+/**
+ * One packed 16-byte record per node, the chunk's trees laid out back
+ * to back in ensemble order (each tree's root first): the split
+ * threshold plus both child references. A child reference packs the
+ * child's chunk-local node index with the *child's own* feature index
+ * (childIdx * featureCount + childFeature), so on arriving at a node
+ * the walk already knows which feature to compare — one 16-byte load
+ * and one feature load per step, no separate feature array on the
+ * hot path.
+ *
+ * Leaves are compiled branchless: both child references point back to
+ * the leaf itself, so a lockstep walk can overshoot a shallow leaf
+ * safely (the self-loop absorbs surplus steps) and batches walk
+ * several rows per tree in lockstep to hide the dependent-load
+ * latency. Because the select lands on the leaf whichever way its
+ * comparison goes, a leaf's threshold field is dead — single-output
+ * forests store the leaf value there, so accumulation never leaves
+ * the node array. Multi-output leaves keep threshold = +inf and go
+ * through leafOfs (cold during the walk), which maps a leaf to its
+ * offset into the chunk's pooled leafValues (-1 for interior nodes).
+ */
+struct PackedNode
 {
-    if (trees.empty())
+    double threshold = 0.0;
+    std::uint32_t left = 0;
+    std::uint32_t right = 0;
+};
+static_assert(sizeof(PackedNode) == 16,
+              "PackedNode must stay a quarter of a cache line");
+
+} // namespace
+
+struct CompiledForest::Chunk
+{
+    std::vector<PackedNode> nodes;
+    std::vector<std::int32_t> leafOfs;
+
+    /**
+     * Per tree: the root's packed reference (rootIdx << featShift |
+     * rootFeature) and walk steps to the deepest leaf.
+     */
+    std::vector<std::uint32_t> rootRef;
+    std::vector<std::int32_t> depth;
+
+    /** The chunk's leaf vectors pooled, outputCount values per leaf. */
+    std::vector<double> leafValues;
+};
+
+CompiledForest::CompiledForest(const std::vector<SharedTree> &trees)
+    : CompiledForest(CompiledForest(), trees)
+{}
+
+CompiledForest::CompiledForest(const CompiledForest &prefix,
+                               const std::vector<SharedTree> &trees)
+    : CompiledForest(prefix)
+{
+    fatalIf(trees.size() < treeCount_,
+            "CompiledForest: fewer trees than the compiled prefix");
+    if (trees.size() == treeCount_)
         return;
 
-    std::size_t totalNodes = 0;
-    for (const auto &tree : trees) {
-        fatalIf(!tree.trained(),
-                "CompiledForest: unfitted tree in ensemble");
-        fatalIf(tree.featureCount() != trees.front().featureCount() ||
-                    tree.outputCount() != trees.front().outputCount(),
-                "CompiledForest: tree shape mismatch");
-        totalNodes += tree.nodeCount();
+    const std::size_t first = treeCount_;
+    if (first == 0) {
+        featureCount_ = trees.front()->featureCount();
+        outputCount_ = trees.front()->outputCount();
+        // Child references pack (node index, child feature) into 32
+        // bits.
+        featShift_ = 0;
+        while ((1ull << featShift_) < featureCount_)
+            ++featShift_;
+        featMask_ = (1u << featShift_) - 1u;
     }
 
-    treeCount_ = trees.size();
-    featureCount_ = trees.front().featureCount();
-    outputCount_ = trees.front().outputCount();
-
-    // Child references pack (node index, child feature) into 32 bits.
-    featShift_ = 0;
-    while ((1ull << featShift_) < featureCount_)
-        ++featShift_;
-    featMask_ = (1u << featShift_) - 1u;
-    fatalIf(totalNodes >= (1ull << (32u - featShift_)),
-            "CompiledForest: ensemble too large for packed 32-bit "
+    std::size_t chunkNodes = 0;
+    for (std::size_t t = first; t < trees.size(); ++t) {
+        const DecisionTreeRegressor &tree = *trees[t];
+        fatalIf(!tree.trained(),
+                "CompiledForest: unfitted tree in ensemble");
+        fatalIf(tree.featureCount() != featureCount_ ||
+                    tree.outputCount() != outputCount_,
+                "CompiledForest: tree shape mismatch");
+        chunkNodes += tree.nodeCount();
+    }
+    fatalIf(chunkNodes >= (1ull << (32u - featShift_)),
+            "CompiledForest: chunk too large for packed 32-bit "
             "child references");
 
-    nodes_.reserve(totalNodes);
-    leafOfs_.reserve(totalNodes);
-    rootRef_.reserve(treeCount_);
-    depth_.reserve(treeCount_);
+    auto chunk = std::make_shared<Chunk>();
+    chunk->nodes.reserve(chunkNodes);
+    chunk->leafOfs.reserve(chunkNodes);
+    chunk->rootRef.reserve(trees.size() - first);
+    chunk->depth.reserve(trees.size() - first);
 
-    for (const auto &tree : trees) {
+    for (std::size_t t = first; t < trees.size(); ++t) {
+        const DecisionTreeRegressor &tree = *trees[t];
         const auto &src = tree.nodes();
-        const auto base = static_cast<std::uint32_t>(nodes_.size());
+        const auto base = static_cast<std::uint32_t>(chunk->nodes.size());
 
-        // ref = (absolute index << featShift_) | node's own feature:
-        // a step lands with the next comparison's feature in hand.
+        // ref = (chunk-local index << featShift_) | node's own
+        // feature: a step lands with the next comparison's feature in
+        // hand.
         auto packRef = [&](int local) {
             const int feat =
                 src[static_cast<std::size_t>(local)].feature;
@@ -57,11 +120,12 @@ CompiledForest::CompiledForest(
                    static_cast<std::uint32_t>(feat < 0 ? 0 : feat);
         };
 
-        rootRef_.push_back(packRef(0));
+        chunk->rootRef.push_back(packRef(0));
         // Fixed walk length: a leaf at depth d absorbs the remaining
         // steps via its self-loop, so depth() - 1 steps land every
         // row on its leaf.
-        depth_.push_back(static_cast<std::int32_t>(tree.depth()) - 1);
+        chunk->depth.push_back(static_cast<std::int32_t>(tree.depth()) -
+                               1);
 
         for (std::size_t local = 0; local < src.size(); ++local) {
             const auto &node = src[local];
@@ -82,21 +146,23 @@ CompiledForest::CompiledForest(
                         : std::numeric_limits<double>::infinity();
                 packed.left = packRef(static_cast<int>(local));
                 packed.right = packed.left;
-                leafOfs_.push_back(
-                    static_cast<std::int32_t>(leafValues_.size()));
-                leafValues_.insert(leafValues_.end(),
-                                   node.leafValue.begin(),
-                                   node.leafValue.end());
-                ++leafCount_;
+                chunk->leafOfs.push_back(
+                    static_cast<std::int32_t>(chunk->leafValues.size()));
+                chunk->leafValues.insert(chunk->leafValues.end(),
+                                         node.leafValue.begin(),
+                                         node.leafValue.end());
             } else {
                 packed.threshold = node.threshold;
                 packed.left = packRef(node.left);
                 packed.right = packRef(node.right);
-                leafOfs_.push_back(-1);
+                chunk->leafOfs.push_back(-1);
             }
-            nodes_.push_back(packed);
+            chunk->nodes.push_back(packed);
         }
     }
+
+    treeCount_ = trees.size();
+    chunks_.push_back(std::move(chunk));
 }
 
 void
@@ -108,32 +174,36 @@ CompiledForest::predictInto(const double *x, double *out) const
         out[k] = 0.0;
 
     // Same accumulation order and arithmetic as the interpreted
-    // reference path: per-tree leaf sums in tree order, one divide.
-    const PackedNode *nodes = nodes_.data();
-    const double *leaves = leafValues_.data();
+    // reference path: per-tree leaf sums in tree order (chunk after
+    // chunk), one divide.
     const std::uint32_t shift = featShift_;
     const std::uint32_t mask = featMask_;
 
-    for (std::size_t t = 0; t < treeCount_; ++t) {
-        std::uint32_t ref = rootRef_[t];
-        for (;;) {
-            const PackedNode &node = nodes[ref >> shift];
-            const auto goLeft = static_cast<std::uint32_t>(
-                x[ref & mask] <= node.threshold);
-            const std::uint32_t next =
-                node.right ^
-                ((node.left ^ node.right) & (0u - goLeft));
-            if (next == ref)
-                break; // leaf self-loop
-            ref = next;
-        }
-        if (o == 1) {
-            // Single-output leaf value lives in the parked node.
-            out[0] += nodes[ref >> shift].threshold;
-        } else {
-            const double *leaf = leaves + leafOfs_[ref >> shift];
-            for (std::size_t k = 0; k < o; ++k)
-                out[k] += leaf[k];
+    for (const auto &chunk : chunks_) {
+        const PackedNode *nodes = chunk->nodes.data();
+        const double *leaves = chunk->leafValues.data();
+        for (const std::uint32_t rootRef : chunk->rootRef) {
+            std::uint32_t ref = rootRef;
+            for (;;) {
+                const PackedNode &node = nodes[ref >> shift];
+                const auto goLeft = static_cast<std::uint32_t>(
+                    x[ref & mask] <= node.threshold);
+                const std::uint32_t next =
+                    node.right ^
+                    ((node.left ^ node.right) & (0u - goLeft));
+                if (next == ref)
+                    break; // leaf self-loop
+                ref = next;
+            }
+            if (o == 1) {
+                // Single-output leaf value lives in the parked node.
+                out[0] += nodes[ref >> shift].threshold;
+            } else {
+                const double *leaf =
+                    leaves + chunk->leafOfs[ref >> shift];
+                for (std::size_t k = 0; k < o; ++k)
+                    out[k] += leaf[k];
+            }
         }
     }
     const double inv = static_cast<double>(treeCount_);
@@ -151,33 +221,8 @@ CompiledForest::predictRange(const double *X, std::size_t begin,
         for (std::size_t k = 0; k < o; ++k)
             Y[r * o + k] = 0.0;
 
-    const PackedNode *nodes = nodes_.data();
-    const double *leaves = leafValues_.data();
     const std::uint32_t shift = featShift_;
     const std::uint32_t mask = featMask_;
-
-    // One walk step: land on the node, compare its feature value,
-    // take a child reference. The child select is computed with mask
-    // arithmetic — a ternary here compiles to a branch that random
-    // 50/50 splits mispredict constantly.
-    auto step = [&](std::uint32_t ref, const double *xrow) {
-        const PackedNode &node = nodes[ref >> shift];
-        const double v = xrow[ref & mask];
-        const auto goLeft =
-            static_cast<std::uint32_t>(v <= node.threshold);
-        return node.right ^
-               ((node.left ^ node.right) & (0u - goLeft));
-    };
-
-    // Walk a lane to its leaf (parks on the leaf's self-loop).
-    auto finish = [&](std::uint32_t ref, const double *xrow) {
-        for (;;) {
-            const std::uint32_t next = step(ref, xrow);
-            if (next == ref)
-                return ref;
-            ref = next;
-        }
-    };
 
     // Tree-major, lane-interleaved: walking one tree across a block
     // of eight rows keeps that tree's nodes cache-hot, and stepping
@@ -188,68 +233,98 @@ CompiledForest::predictRange(const double *X, std::size_t begin,
     // leaf depth (self-looping leaves absorb surplus steps), then a
     // per-lane early-exit finish for the few deep lanes, so shallow
     // leaves don't pay for the tree's maximum depth. Each row still
-    // accumulates its leaves in tree order and divides once, so the
-    // result is bit-identical to predictInto on that row.
+    // accumulates its leaves in tree order, chunk after chunk, and
+    // divides once, so the result is bit-identical to predictInto on
+    // that row.
     constexpr std::size_t kLanes = 8;
     const std::size_t blockEnd =
         begin + (end - begin) / kLanes * kLanes;
 
-    for (std::size_t t = 0; t < treeCount_; ++t) {
-        const std::uint32_t rootRef = rootRef_[t];
-        const std::int32_t rounds = depth_[t];
-        for (std::size_t r = begin; r < blockEnd; r += kLanes) {
-            const double *x0 = X + r * f;
-            const double *x1 = x0 + f;
-            const double *x2 = x1 + f;
-            const double *x3 = x2 + f;
-            const double *x4 = x3 + f;
-            const double *x5 = x4 + f;
-            const double *x6 = x5 + f;
-            const double *x7 = x6 + f;
-            std::uint32_t r0 = rootRef, r1 = rootRef;
-            std::uint32_t r2 = rootRef, r3 = rootRef;
-            std::uint32_t r4 = rootRef, r5 = rootRef;
-            std::uint32_t r6 = rootRef, r7 = rootRef;
-            // Phase 1: lockstep to the typical leaf depth. Lanes
-            // whose leaf sits shallower park on its self-loop.
-            const std::int32_t lockstep =
-                std::min<std::int32_t>(rounds, 9);
-            for (std::int32_t d = lockstep; d > 0; --d) {
-                r0 = step(r0, x0);
-                r1 = step(r1, x1);
-                r2 = step(r2, x2);
-                r3 = step(r3, x3);
-                r4 = step(r4, x4);
-                r5 = step(r5, x5);
-                r6 = step(r6, x6);
-                r7 = step(r7, x7);
+    for (const auto &chunkPtr : chunks_) {
+        const Chunk &chunk = *chunkPtr;
+        const PackedNode *nodes = chunk.nodes.data();
+        const double *leaves = chunk.leafValues.data();
+
+        // One walk step: land on the node, compare its feature value,
+        // take a child reference. The child select is computed with mask
+        // arithmetic — a ternary here compiles to a branch that random
+        // 50/50 splits mispredict constantly.
+        auto step = [&](std::uint32_t ref, const double *xrow) {
+            const PackedNode &node = nodes[ref >> shift];
+            const double v = xrow[ref & mask];
+            const auto goLeft =
+                static_cast<std::uint32_t>(v <= node.threshold);
+            return node.right ^
+                   ((node.left ^ node.right) & (0u - goLeft));
+        };
+
+        // Walk a lane to its leaf (parks on the leaf's self-loop).
+        auto finish = [&](std::uint32_t ref, const double *xrow) {
+            for (;;) {
+                const std::uint32_t next = step(ref, xrow);
+                if (next == ref)
+                    return ref;
+                ref = next;
             }
-            // Phase 2: finish the deep lanes individually instead of
-            // marching every lane to the tree's maximum depth.
-            if (lockstep < rounds) {
-                r0 = finish(r0, x0);
-                r1 = finish(r1, x1);
-                r2 = finish(r2, x2);
-                r3 = finish(r3, x3);
-                r4 = finish(r4, x4);
-                r5 = finish(r5, x5);
-                r6 = finish(r6, x6);
-                r7 = finish(r7, x7);
-            }
-            const std::uint32_t refs[kLanes] = {r0, r1, r2, r3,
-                                                r4, r5, r6, r7};
-            if (o == 1) {
-                // Single-output leaf values live in the parked
-                // nodes, already cache-hot from the walk.
-                for (std::size_t l = 0; l < kLanes; ++l)
-                    Y[r + l] += nodes[refs[l] >> shift].threshold;
-            } else {
-                for (std::size_t l = 0; l < kLanes; ++l) {
-                    const double *leaf =
-                        leaves + leafOfs_[refs[l] >> shift];
-                    double *y = Y + (r + l) * o;
-                    for (std::size_t k = 0; k < o; ++k)
-                        y[k] += leaf[k];
+        };
+
+        for (std::size_t t = 0; t < chunk.rootRef.size(); ++t) {
+            const std::uint32_t rootRef = chunk.rootRef[t];
+            const std::int32_t rounds = chunk.depth[t];
+            for (std::size_t r = begin; r < blockEnd; r += kLanes) {
+                const double *x0 = X + r * f;
+                const double *x1 = x0 + f;
+                const double *x2 = x1 + f;
+                const double *x3 = x2 + f;
+                const double *x4 = x3 + f;
+                const double *x5 = x4 + f;
+                const double *x6 = x5 + f;
+                const double *x7 = x6 + f;
+                std::uint32_t r0 = rootRef, r1 = rootRef;
+                std::uint32_t r2 = rootRef, r3 = rootRef;
+                std::uint32_t r4 = rootRef, r5 = rootRef;
+                std::uint32_t r6 = rootRef, r7 = rootRef;
+                // Phase 1: lockstep to the typical leaf depth. Lanes
+                // whose leaf sits shallower park on its self-loop.
+                const std::int32_t lockstep =
+                    std::min<std::int32_t>(rounds, 9);
+                for (std::int32_t d = lockstep; d > 0; --d) {
+                    r0 = step(r0, x0);
+                    r1 = step(r1, x1);
+                    r2 = step(r2, x2);
+                    r3 = step(r3, x3);
+                    r4 = step(r4, x4);
+                    r5 = step(r5, x5);
+                    r6 = step(r6, x6);
+                    r7 = step(r7, x7);
+                }
+                // Phase 2: finish the deep lanes individually instead of
+                // marching every lane to the tree's maximum depth.
+                if (lockstep < rounds) {
+                    r0 = finish(r0, x0);
+                    r1 = finish(r1, x1);
+                    r2 = finish(r2, x2);
+                    r3 = finish(r3, x3);
+                    r4 = finish(r4, x4);
+                    r5 = finish(r5, x5);
+                    r6 = finish(r6, x6);
+                    r7 = finish(r7, x7);
+                }
+                const std::uint32_t refs[kLanes] = {r0, r1, r2, r3,
+                                                    r4, r5, r6, r7};
+                if (o == 1) {
+                    // Single-output leaf values live in the parked
+                    // nodes, already cache-hot from the walk.
+                    for (std::size_t l = 0; l < kLanes; ++l)
+                        Y[r + l] += nodes[refs[l] >> shift].threshold;
+                } else {
+                    for (std::size_t l = 0; l < kLanes; ++l) {
+                        const double *leaf =
+                            leaves + chunk.leafOfs[refs[l] >> shift];
+                        double *y = Y + (r + l) * o;
+                        for (std::size_t k = 0; k < o; ++k)
+                            y[k] += leaf[k];
+                    }
                 }
             }
         }

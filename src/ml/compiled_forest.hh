@@ -15,13 +15,21 @@
  * no per-node indirection, cache-friendly, and branch-free on the
  * random 50/50 splits that defeat branch prediction.
  *
+ * The packed arrays live in an append-only list of immutable chunks,
+ * each holding a contiguous run of trees in ensemble order. Extending
+ * a compiled forest by the trees a warm start grew compiles those
+ * trees into one new chunk and shares every prefix chunk with the
+ * forest it extends, so a retrain's compile costs its new trees, not
+ * the whole ensemble.
+ *
  * predictInto() evaluates one feature row; predictBatch() evaluates a
  * row-major matrix of rows, optionally chunked across the process-wide
  * ThreadPool. Every row writes a fixed output slot, so the parallel
  * batch is bit-identical to the sequential one, and both are
  * bit-identical to the interpreted reference path
  * (RandomForestRegressor::predict): trees are accumulated in the same
- * order with the same arithmetic.
+ * order with the same arithmetic, chunk after chunk, with one divide
+ * at the end.
  */
 
 #ifndef WANIFY_ML_COMPILED_FOREST_HH
@@ -29,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ml/decision_tree.hh"
@@ -39,23 +48,38 @@ namespace ml {
 class CompiledForest
 {
   public:
+    /** The packed arrays of a run of trees (defined privately). */
+    struct Chunk;
+
     /** An empty compiled forest; predictions panic. */
     CompiledForest() = default;
 
     /**
      * Flatten @p trees (all fitted, same feature/output shape) into
-     * packed form. The compiled forest is an immutable snapshot: it
-     * does not observe later refits of the source trees.
+     * one chunk. The compiled forest is an immutable snapshot.
      */
-    explicit CompiledForest(
-        const std::vector<DecisionTreeRegressor> &trees);
+    explicit CompiledForest(const std::vector<SharedTree> &trees);
+
+    /**
+     * Extend @p prefix: share its chunks and compile the trees of
+     * @p trees past prefix.treeCount() into one new chunk (none when
+     * there are no new trees). @p prefix must have been compiled from
+     * the leading trees of @p trees.
+     */
+    CompiledForest(const CompiledForest &prefix,
+                   const std::vector<SharedTree> &trees);
 
     bool empty() const { return treeCount_ == 0; }
     std::size_t treeCount() const { return treeCount_; }
     std::size_t featureCount() const { return featureCount_; }
     std::size_t outputCount() const { return outputCount_; }
-    std::size_t nodeCount() const { return nodes_.size(); }
-    std::size_t leafCount() const { return leafCount_; }
+
+    /** The chunks in tree order; forests extended from this one
+     *  hold the same pointers. */
+    const std::vector<std::shared_ptr<const Chunk>> &chunks() const
+    {
+        return chunks_;
+    }
 
     /**
      * Ensemble-mean prediction of one feature row. @p x must hold
@@ -78,49 +102,8 @@ class CompiledForest
     /** Tree-major evaluation of rows [begin, end) into Y. */
     void predictRange(const double *X, std::size_t begin,
                       std::size_t end, double *Y) const;
-    /**
-     * One packed 16-byte record per node, trees laid out back to
-     * back in build order (each tree's root first): the split
-     * threshold plus both child references. A child reference packs
-     * the child's node index with the *child's own* feature index
-     * (childIdx * featureCount + childFeature), so on arriving at a
-     * node the walk already knows which feature to compare — one
-     * 16-byte load and one feature load per step, no separate
-     * feature array on the hot path.
-     *
-     * Leaves are compiled branchless: both child references point
-     * back to the leaf itself, so a lockstep walk can overshoot a
-     * shallow leaf safely (the self-loop absorbs surplus steps) and
-     * batches walk several rows per tree in lockstep to hide the
-     * dependent-load latency. Because the select lands on the leaf
-     * whichever way its comparison goes, a leaf's threshold field is
-     * dead — single-output forests store the leaf value there, so
-     * accumulation never leaves the node array. Multi-output leaves
-     * keep threshold = +inf and go through leafOfs_ (cold during the
-     * walk), which maps a leaf to its offset into the pooled
-     * leafValues_ (-1 for interior nodes).
-     */
-    struct PackedNode
-    {
-        double threshold = 0.0;
-        std::uint32_t left = 0;
-        std::uint32_t right = 0;
-    };
-    static_assert(sizeof(PackedNode) == 16,
-                  "PackedNode must stay a quarter of a cache line");
 
-    std::vector<PackedNode> nodes_;
-    std::vector<std::int32_t> leafOfs_;
-
-    /**
-     * Per tree: the root's packed reference (rootIdx << featShift_ |
-     * rootFeature) and walk steps to the deepest leaf.
-     */
-    std::vector<std::uint32_t> rootRef_;
-    std::vector<std::int32_t> depth_;
-
-    /** All leaf vectors pooled, outputCount_ values per leaf. */
-    std::vector<double> leafValues_;
+    std::vector<std::shared_ptr<const Chunk>> chunks_;
 
     /** Child-reference packing: ref = (idx << featShift_) | feature. */
     std::uint32_t featShift_ = 0;
@@ -129,7 +112,6 @@ class CompiledForest
     std::size_t treeCount_ = 0;
     std::size_t featureCount_ = 0;
     std::size_t outputCount_ = 0;
-    std::size_t leafCount_ = 0;
 };
 
 } // namespace ml

@@ -20,6 +20,7 @@
 #define WANIFY_ML_DECISION_TREE_HH
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hh"
@@ -166,6 +167,13 @@ class DecisionTreeRegressor
     std::vector<Node> nodes_;
     std::vector<double> featureGains_;
 };
+
+/**
+ * A fitted tree as forests hold it: immutable and shared, so a forest
+ * copy (a warm-start retrain's starting point) copies a pointer, not
+ * the node and leaf vectors.
+ */
+using SharedTree = std::shared_ptr<const DecisionTreeRegressor>;
 
 } // namespace ml
 } // namespace wanify

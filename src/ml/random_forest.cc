@@ -50,19 +50,18 @@ RandomForestRegressor::operator=(const RandomForestRegressor &other)
     return *this;
 }
 
-void
-RandomForestRegressor::invalidateCompiled()
-{
-    std::lock_guard<std::mutex> lock(compiledMu_);
-    compiled_.reset();
-}
-
 const CompiledForest &
 RandomForestRegressor::compiled() const
 {
     std::lock_guard<std::mutex> lock(compiledMu_);
-    if (compiled_ == nullptr)
+    if (compiled_ == nullptr) {
         compiled_ = std::make_shared<const CompiledForest>(trees_);
+    } else if (compiled_->treeCount() < trees_.size()) {
+        // Warm-started since the snapshot: keep its chunks, compile
+        // only the new trees.
+        compiled_ =
+            std::make_shared<const CompiledForest>(*compiled_, trees_);
+    }
     return *compiled_;
 }
 
@@ -70,10 +69,14 @@ void
 RandomForestRegressor::fit(const Dataset &data, std::uint64_t seed)
 {
     fatalIf(data.empty(), "RandomForest::fit: empty dataset");
-    trees_.clear();
-    invalidateCompiled();
+    std::vector<std::vector<std::size_t>> bags;
+    trees_ = growTrees(data, config_.nEstimators, seed, bags);
+    {
+        std::lock_guard<std::mutex> lock(compiledMu_);
+        compiled_.reset();
+    }
     featureCount_ = data.featureCount();
-    growTrees(data, config_.nEstimators, seed);
+    computeOob(data, bags);
 }
 
 void
@@ -83,18 +86,22 @@ RandomForestRegressor::warmStart(const Dataset &data,
 {
     fatalIf(data.empty(), "RandomForest::warmStart: empty dataset");
     fatalIf(extraTrees == 0, "RandomForest::warmStart: extraTrees == 0");
-    if (trees_.empty()) {
-        featureCount_ = data.featureCount();
-    } else {
-        fatalIf(data.featureCount() != featureCount_,
-                "RandomForest::warmStart: feature count changed");
-    }
-    growTrees(data, extraTrees, seed ^ 0xa5a5a5a5a5a5a5a5ULL);
+    fatalIf(!trees_.empty() && data.featureCount() != featureCount_,
+            "RandomForest::warmStart: feature count changed");
+    std::vector<std::vector<std::size_t>> bags;
+    const auto grown =
+        growTrees(data, extraTrees, seed ^ 0xa5a5a5a5a5a5a5a5ULL, bags);
+    // The compiled snapshot stays: it is a prefix of the grown
+    // ensemble, and compiled() extends it by the new trees.
+    trees_.insert(trees_.end(), grown.begin(), grown.end());
+    featureCount_ = data.featureCount();
+    computeOob(data, bags);
 }
 
-void
-RandomForestRegressor::growTrees(const Dataset &data, std::size_t count,
-                                 std::uint64_t seed)
+std::vector<SharedTree>
+RandomForestRegressor::growTrees(
+    const Dataset &data, std::size_t count, std::uint64_t seed,
+    std::vector<std::vector<std::size_t>> &bags) const
 {
     const std::size_t n = data.size();
     const auto bagSize = static_cast<std::size_t>(
@@ -112,9 +119,8 @@ RandomForestRegressor::growTrees(const Dataset &data, std::size_t count,
     // lands in a pre-assigned slot: the trained forest is identical
     // whether the loop below runs sequentially or on the pool.
     const auto treeSeeds = deriveSeeds(seed, count);
-    const std::size_t firstNew = trees_.size();
-    trees_.resize(firstNew + count, DecisionTreeRegressor(config_.tree));
-    std::vector<std::vector<std::size_t>> bags(count);
+    std::vector<SharedTree> grown(count);
+    bags.assign(count, {});
 
     auto growOne = [&](std::size_t t) {
         Rng treeRng(treeSeeds[t]);
@@ -125,28 +131,21 @@ RandomForestRegressor::growTrees(const Dataset &data, std::size_t count,
             tree.fit(*ctx, bag, treeRng);
         else
             tree.fit(data, bag, treeRng);
-        trees_[firstNew + t] = std::move(tree);
+        grown[t] =
+            std::make_shared<const DecisionTreeRegressor>(std::move(tree));
         bags[t] = std::move(bag);
     };
 
-    try {
-        if (config_.nThreads == 0) {
-            ThreadPool::global().parallelFor(count, growOne);
-        } else if (config_.nThreads == 1) {
-            for (std::size_t t = 0; t < count; ++t)
-                growOne(t);
-        } else {
-            ThreadPool local(config_.nThreads);
-            local.parallelFor(count, growOne);
-        }
-    } catch (...) {
-        // Drop the whole batch rather than leave unfitted placeholder
-        // trees in the ensemble; the forest stays in its prior state.
-        trees_.resize(firstNew, DecisionTreeRegressor(config_.tree));
-        throw;
+    if (config_.nThreads == 0) {
+        ThreadPool::global().parallelFor(count, growOne);
+    } else if (config_.nThreads == 1) {
+        for (std::size_t t = 0; t < count; ++t)
+            growOne(t);
+    } else {
+        ThreadPool local(config_.nThreads);
+        local.parallelFor(count, growOne);
     }
-    invalidateCompiled();
-    computeOob(data, bags);
+    return grown;
 }
 
 void
@@ -159,12 +158,26 @@ RandomForestRegressor::computeOob(
     const std::size_t n = data.size();
     const std::size_t firstNew = trees_.size() - bags.size();
 
-    std::vector<std::vector<bool>> inBag(
-        bags.size(), std::vector<bool>(n, false));
-    for (std::size_t t = 0; t < bags.size(); ++t)
+    // Tree-major: one tree's nodes stay cache-hot across all of its
+    // out-of-bag samples. Each sample still sums its votes in tree
+    // order, so the estimate is the same as a sample-major loop's.
+    std::vector<double> pred(n, 0.0);
+    std::vector<std::size_t> votes(n, 0);
+    std::vector<bool> inBag(n);
+    for (std::size_t t = 0; t < bags.size(); ++t) {
+        inBag.assign(n, false);
         for (std::size_t i : bags[t])
             if (i < n)
-                inBag[t][i] = true;
+                inBag[i] = true;
+        const DecisionTreeRegressor &tree = *trees_[firstNew + t];
+        for (std::size_t i = 0; i < n; ++i) {
+            if (inBag[i])
+                continue;
+            // const-ref leaf access: no per-vote temporary.
+            pred[i] += tree.predict(data.x(i)).front();
+            ++votes[i];
+        }
+    }
 
     double ssRes = 0.0, ssTot = 0.0, meanY = 0.0;
     std::size_t covered = 0;
@@ -173,20 +186,11 @@ RandomForestRegressor::computeOob(
     meanY /= static_cast<double>(n);
 
     for (std::size_t i = 0; i < n; ++i) {
-        double pred = 0.0;
-        std::size_t votes = 0;
-        for (std::size_t t = 0; t < bags.size(); ++t) {
-            if (inBag[t][i])
-                continue;
-            // const-ref leaf access: no per-vote temporary.
-            pred += trees_[firstNew + t].predict(data.x(i)).front();
-            ++votes;
-        }
-        if (votes == 0)
+        if (votes[i] == 0)
             continue;
-        pred /= static_cast<double>(votes);
+        const double p = pred[i] / static_cast<double>(votes[i]);
         const double yi = data.y(i)[0];
-        ssRes += (yi - pred) * (yi - pred);
+        ssRes += (yi - p) * (yi - p);
         ssTot += (yi - meanY) * (yi - meanY);
         ++covered;
     }
@@ -203,7 +207,7 @@ RandomForestRegressor::predict(const std::vector<double> &x) const
     panicIf(trees_.empty(), "RandomForest::predict before fit");
     std::vector<double> mean;
     for (const auto &tree : trees_) {
-        const auto &y = tree.predict(x);
+        const auto &y = tree->predict(x);
         if (mean.empty())
             mean.assign(y.size(), 0.0);
         for (std::size_t k = 0; k < y.size(); ++k)
@@ -227,7 +231,7 @@ RandomForestRegressor::featureImportances() const
 {
     std::vector<double> gains(featureCount_, 0.0);
     for (const auto &tree : trees_) {
-        const auto &treeGains = tree.featureGains();
+        const auto &treeGains = tree->featureGains();
         for (std::size_t f = 0; f < featureCount_; ++f)
             gains[f] += treeGains[f];
     }

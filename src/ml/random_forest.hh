@@ -56,9 +56,12 @@ class RandomForestRegressor
     explicit RandomForestRegressor(ForestConfig config = {});
 
     /**
-     * Copies share the (immutable) compiled snapshot; the tree
-     * ensemble itself is deep-copied. Needed explicitly because the
-     * lazy-compile guard is not copyable.
+     * Copies share storage: the trees are immutable and held by
+     * shared pointer, so a copy copies pointers, and it shares the
+     * source's compiled chunks too (read under the source's lock).
+     * A warm start on the copy appends new trees and, on the next
+     * compiled(), one new chunk; the source never changes. Needed
+     * explicitly because the lazy-compile guard is not copyable.
      */
     RandomForestRegressor(const RandomForestRegressor &other);
     RandomForestRegressor &operator=(const RandomForestRegressor &other);
@@ -74,7 +77,8 @@ class RandomForestRegressor
      * ensemble and @p data locks in the feature count. extraTrees
      * must be > 0 — a tree-less "retrain" would silently keep
      * reporting the stale model's accuracy. oobR2() afterwards
-     * covers the newly grown batch only.
+     * covers the newly grown batch only. If growing throws, the
+     * forest is left unchanged, as it is by a throwing fit().
      */
     void warmStart(const Dataset &data, std::size_t extraTrees,
                    std::uint64_t seed);
@@ -91,21 +95,21 @@ class RandomForestRegressor
 
     /**
      * The compiled inference engine for the current ensemble, built
-     * lazily on first use after fit()/warmStart() and invalidated
-     * whenever trees regrow. Thread-safe against concurrent readers;
-     * the reference stays valid until the next (non-const) refit.
+     * lazily on first use after fit()/warmStart(). After a warm start
+     * only the trees not yet compiled are compiled, into one new
+     * chunk appended after the snapshot's shared ones; fit() starts
+     * over. Thread-safe against concurrent readers; the reference
+     * stays valid until the next (non-const) fit()/warmStart().
      */
     const CompiledForest &compiled() const;
 
     bool trained() const { return !trees_.empty(); }
     std::size_t treeCount() const { return trees_.size(); }
 
-    /** The fitted ensemble (reference path; benches emulate legacy
-     *  per-call-allocating inference through this view). */
-    const std::vector<DecisionTreeRegressor> &trees() const
-    {
-        return trees_;
-    }
+    /** The fitted ensemble in tree order (reference path; benches
+     *  emulate legacy per-call-allocating inference through this
+     *  view). Copies of the forest hold the same tree objects. */
+    const std::vector<SharedTree> &trees() const { return trees_; }
 
     /**
      * Out-of-bag R^2 estimate from the most recent fit()/warmStart()
@@ -120,21 +124,28 @@ class RandomForestRegressor
     const ForestConfig &config() const { return config_; }
 
   private:
-    void growTrees(const Dataset &data, std::size_t count,
-                   std::uint64_t seed);
+    /**
+     * Grow @p count trees on @p data into a new batch, writing each
+     * tree's bootstrap sample to @p bags. The forest itself is not
+     * touched, so a throw leaves it as it was.
+     */
+    std::vector<SharedTree>
+    growTrees(const Dataset &data, std::size_t count,
+              std::uint64_t seed,
+              std::vector<std::vector<std::size_t>> &bags) const;
     void computeOob(const Dataset &data,
                     const std::vector<std::vector<std::size_t>> &bags);
-    void invalidateCompiled();
 
     ForestConfig config_;
-    std::vector<DecisionTreeRegressor> trees_;
+    std::vector<SharedTree> trees_;
     std::size_t featureCount_ = 0;
     double oobR2_ = 0.0;
 
     /**
      * Lazily built compiled snapshot, guarded by compiledMu_. Shared
      * (not deep-copied) across forest copies: a CompiledForest is
-     * immutable once built.
+     * immutable once built, and extending it makes a new one that
+     * shares its chunks. May lag trees_ by the last warm starts.
      */
     mutable std::shared_ptr<const CompiledForest> compiled_;
     mutable std::mutex compiledMu_;

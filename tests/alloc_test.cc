@@ -6,7 +6,8 @@
  * it is its own binary. It asserts that a passing fatalIf/panicIf
  * with a literal message, and the hot calls built on such checks
  * (Matrix::at, BwForecast::transferTime, gda::estimateStageTime),
- * perform no heap allocation at all.
+ * perform no heap allocation at all. It also counts the allocations
+ * of a warm-start retrain, which must not grow with the base forest.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +20,10 @@
 #include "common/error.hh"
 #include "common/matrix.hh"
 #include "core/forecast.hh"
+#include "core/wanify.hh"
 #include "experiments/testbed.hh"
 #include "gda/scheduler.hh"
+#include "monitor/features.hh"
 
 namespace {
 
@@ -87,6 +90,52 @@ struct StageFixture
         forecast.addSegment(1.0e6, Matrix<Mbps>::square(4, 40.0));
     }
 };
+
+/** Table 3-shaped rows: random features, a smooth target. */
+ml::Dataset
+table3Rows(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    ml::Dataset data(monitor::kFeatureCount, 1);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::vector<double> x(monitor::kFeatureCount);
+        for (auto &v : x)
+            v = rng.uniform(0.0, 1.0);
+        const double y = 400.0 * x[0] + 100.0 * x[1] * x[2];
+        data.add(std::move(x), y + rng.normal(0.0, 5.0));
+    }
+    return data;
+}
+
+/**
+ * Heap allocations of one Wanify::retrain of a compiled
+ * @p baseTrees-tree predictor plus the retrained model's first
+ * predictMatrix. The gauged rows and the seed are fixed, so the 25
+ * grown trees are the same whatever the base size.
+ */
+std::size_t
+retrainAllocations(std::size_t baseTrees)
+{
+    core::WanifyConfig cfg;
+    cfg.forest.nEstimators = baseTrees;
+    cfg.forest.tree.maxDepth = 8;
+    // Grown on the calling thread: pool scheduling would move the
+    // workers' first-use scratch allocations between runs.
+    cfg.forest.nThreads = 1;
+    const core::Wanify wanify(cfg);
+    auto base = std::make_shared<core::RuntimeBwPredictor>(cfg.forest);
+    base->train(table3Rows(300, 61), 62);
+    const auto topo = experiments::workerCluster(4, 2);
+    const core::BwMatrix snapshot = core::BwMatrix::square(4, 400.0);
+    // A served base has been compiled by its own predictions.
+    base->predictMatrix(topo, snapshot);
+    const ml::Dataset gauged = table3Rows(120, 63);
+
+    const std::size_t before = allocations.load();
+    const auto next = wanify.retrain(gauged, 64, base, false);
+    next->predictMatrix(topo, snapshot);
+    return allocations.load() - before;
+}
 
 } // namespace
 
@@ -157,4 +206,19 @@ TEST(Alloc, EstimateStageTimeAllocatesNothing)
               }),
               0u);
     EXPECT_GT(forecast, snapshot);
+}
+
+TEST(Alloc, RetrainCostIndependentOfBaseForestSize)
+{
+    // Warm-up: first-use allocations of the calling thread's training
+    // scratch and the process-wide pool land here, not below.
+    retrainAllocations(100);
+    const std::size_t small = retrainAllocations(100);
+    const std::size_t large = retrainAllocations(300);
+    // Growing and compiling the 25 new trees allocates; copying the
+    // base must not, beyond the few pointer vectors it resizes.
+    EXPECT_GT(small, 0u);
+    const std::size_t diff = large > small ? large - small : small - large;
+    EXPECT_LE(diff, 8u) << "100-tree base: " << small
+                        << " allocations, 300-tree base: " << large;
 }

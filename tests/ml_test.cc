@@ -450,6 +450,125 @@ TEST(CompiledForest, CopiedForestSharesCompiledSnapshot)
     EXPECT_EQ(a, b);
 }
 
+namespace {
+
+/**
+ * The chunked compiled() of @p forest, a one-shot compile of the same
+ * trees and the interpreted predict agree bit for bit: single rows,
+ * sequential and parallel batches, and a batch shorter than one
+ * 8-row lane block.
+ */
+void
+expectChunkedMatchesOneShot(const RandomForestRegressor &forest,
+                            std::size_t features, std::uint64_t seed)
+{
+    const CompiledForest &chunked = forest.compiled();
+    const CompiledForest oneShot(forest.trees());
+    ASSERT_EQ(oneShot.chunks().size(), 1u);
+    ASSERT_EQ(chunked.treeCount(), oneShot.treeCount());
+
+    const std::size_t o = chunked.outputCount();
+    const std::size_t rows = 517; // 64 lane blocks plus a 5-row tail
+    const auto X = randomRows(rows, features, seed);
+    std::vector<double> ref;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::vector<double> x(X.begin() + r * features,
+                                    X.begin() + (r + 1) * features);
+        const auto y = forest.predict(x);
+        ref.insert(ref.end(), y.begin(), y.end());
+    }
+
+    std::size_t mismatches = 0;
+    for (const CompiledForest *compiled : {&chunked, &oneShot}) {
+        std::vector<double> y(o);
+        for (std::size_t r = 0; r < rows; ++r) {
+            compiled->predictInto(X.data() + r * features, y.data());
+            for (std::size_t k = 0; k < o; ++k)
+                mismatches += y[k] != ref[r * o + k];
+        }
+        for (const std::size_t n : {rows, std::size_t{5}}) {
+            for (const bool parallel : {false, true}) {
+                std::vector<double> Y(n * o, -1.0);
+                compiled->predictBatch(X.data(), n, Y.data(), parallel);
+                for (std::size_t i = 0; i < n * o; ++i)
+                    mismatches += Y[i] != ref[i];
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+} // namespace
+
+TEST(CompiledForest, ChunkedWarmStartsMatchOneShotCompileBitExact)
+{
+    ForestConfig cfg;
+    cfg.nEstimators = 10;
+    RandomForestRegressor forest(cfg);
+    auto data = linearData(300, 96);
+    forest.fit(data, 97);
+    forest.compiled();
+    for (std::size_t w = 0; w < 4; ++w) {
+        data.append(linearData(60, 98 + w));
+        forest.warmStart(data, 5, 110 + w);
+        const CompiledForest &compiled = forest.compiled();
+        // The fit's chunk plus one chunk per warm start.
+        ASSERT_EQ(compiled.chunks().size(), w + 2);
+        EXPECT_EQ(compiled.treeCount(), 10 + 5 * (w + 1));
+    }
+    expectChunkedMatchesOneShot(forest, 2, 120);
+}
+
+TEST(CompiledForest, ChunkedMultiOutputWarmStartsMatchOneShotCompile)
+{
+    // Multi-output leaves are read through each chunk's own leaf
+    // offsets, not the parked node.
+    Dataset data(1, 2);
+    Rng gen(121);
+    auto addRows = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            const double x = gen.uniform(0.0, 10.0);
+            data.add({x}, {x, 2.0 * x + gen.normal(0.0, 0.1)});
+        }
+    };
+    addRows(200);
+    ForestConfig cfg;
+    cfg.nEstimators = 8;
+    RandomForestRegressor forest(cfg);
+    forest.fit(data, 122);
+    forest.compiled();
+    for (std::size_t w = 0; w < 4; ++w) {
+        addRows(40);
+        forest.warmStart(data, 4, 123 + w);
+        ASSERT_EQ(forest.compiled().chunks().size(), w + 2);
+    }
+    ASSERT_EQ(forest.compiled().outputCount(), 2u);
+    expectChunkedMatchesOneShot(forest, 1, 130);
+}
+
+TEST(CompiledForest, CopyExtendsItsOwnSnapshotAndSharesPrefixChunks)
+{
+    ForestConfig cfg;
+    cfg.nEstimators = 8;
+    RandomForestRegressor forest(cfg);
+    auto data = linearData(200, 131);
+    forest.fit(data, 132);
+    const CompiledForest &base = forest.compiled();
+
+    RandomForestRegressor copy = forest;
+    data.append(linearData(50, 133));
+    copy.warmStart(data, 4, 134);
+    for (std::size_t t = 0; t < forest.treeCount(); ++t)
+        EXPECT_EQ(copy.trees()[t].get(), forest.trees()[t].get());
+    const CompiledForest &extended = copy.compiled();
+    ASSERT_EQ(extended.chunks().size(), 2u);
+    EXPECT_EQ(extended.chunks()[0].get(), base.chunks()[0].get());
+    EXPECT_EQ(extended.treeCount(), 12u);
+    // The source's snapshot neither moves nor grows.
+    EXPECT_EQ(&forest.compiled(), &base);
+    EXPECT_EQ(base.treeCount(), 8u);
+}
+
 TEST(CompiledForest, EmptyForestPredictPanics)
 {
     const CompiledForest compiled;

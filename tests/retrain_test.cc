@@ -224,6 +224,52 @@ TEST(WanifyRetrain, DeterministicInBaseDataAndSeed)
             EXPECT_DOUBLE_EQ(m1.at(i, j), m2.at(i, j));
 }
 
+TEST(WanifyRetrain, RetrainSharesBaseTreesAndCompiledChunks)
+{
+    core::Wanify wanify(smallWanifyConfig());
+    wanify.train(smallAnalyzerConfig(), 504);
+    const auto base = wanify.predictorSnapshot();
+    const ml::RandomForestRegressor &baseForest = base->forest();
+    const std::size_t baseTrees = baseForest.treeCount();
+
+    const auto topo = experiments::workerCluster(4, 1);
+    net::NetworkSim sim(topo, experiments::defaultSimConfig(), 7);
+    sim.advanceBy(5.0);
+    monitor::MeshMeasurer measurer(sim);
+    Rng rng(8);
+    const auto snapshot =
+        measurer.snapshot(monitor::MeasurementConfig{}, rng);
+    // Predicting compiles the base, as a run's gauges do before drift.
+    const auto before = base->predictMatrix(topo, snapshot);
+    const ml::CompiledForest &baseCompiled = baseForest.compiled();
+    const auto baseChunks = baseCompiled.chunks();
+
+    core::BandwidthAnalyzer analyzer(smallAnalyzerConfig());
+    const auto next =
+        wanify.retrain(analyzer.collect(781), 905, base, false);
+    const ml::RandomForestRegressor &nextForest = next->forest();
+    ASSERT_EQ(nextForest.treeCount(), baseTrees + 5);
+    for (std::size_t t = 0; t < baseTrees; ++t)
+        EXPECT_EQ(nextForest.trees()[t].get(),
+                  baseForest.trees()[t].get())
+            << "tree " << t;
+
+    next->predictMatrix(topo, snapshot);
+    const ml::CompiledForest &nextCompiled = nextForest.compiled();
+    ASSERT_EQ(nextCompiled.chunks().size(), baseChunks.size() + 1);
+    for (std::size_t c = 0; c < baseChunks.size(); ++c)
+        EXPECT_EQ(nextCompiled.chunks()[c].get(), baseChunks[c].get());
+    EXPECT_EQ(nextCompiled.treeCount(), baseTrees + 5);
+
+    // The base is untouched: same snapshot, same trees, same output.
+    EXPECT_EQ(&baseForest.compiled(), &baseCompiled);
+    EXPECT_EQ(baseCompiled.treeCount(), baseTrees);
+    const auto after = base->predictMatrix(topo, snapshot);
+    for (net::DcId i = 0; i < 4; ++i)
+        for (net::DcId j = 0; j < 4; ++j)
+            EXPECT_EQ(after.at(i, j), before.at(i, j));
+}
+
 // ---- engine: the learning loop end to end -----------------------------------
 
 TEST(EngineRetrain, OutageGaugeRetrainDropsPredictionError)

@@ -80,8 +80,8 @@ expectForestsIdentical(const RandomForestRegressor &a,
 {
     ASSERT_EQ(a.treeCount(), b.treeCount());
     for (std::size_t t = 0; t < a.treeCount(); ++t) {
-        const auto &na = a.trees()[t].nodes();
-        const auto &nb = b.trees()[t].nodes();
+        const auto &na = a.trees()[t]->nodes();
+        const auto &nb = b.trees()[t]->nodes();
         ASSERT_EQ(na.size(), nb.size()) << "tree " << t;
         for (std::size_t i = 0; i < na.size(); ++i) {
             EXPECT_EQ(na[i].feature, nb[i].feature)
@@ -94,8 +94,8 @@ expectForestsIdentical(const RandomForestRegressor &a,
             for (std::size_t k = 0; k < na[i].leafValue.size(); ++k)
                 EXPECT_EQ(na[i].leafValue[k], nb[i].leafValue[k]);
         }
-        const auto &ga = a.trees()[t].featureGains();
-        const auto &gb = b.trees()[t].featureGains();
+        const auto &ga = a.trees()[t]->featureGains();
+        const auto &gb = b.trees()[t]->featureGains();
         ASSERT_EQ(ga.size(), gb.size());
         for (std::size_t f = 0; f < ga.size(); ++f)
             EXPECT_EQ(ga[f], gb[f]) << "tree " << t << " gain " << f;
