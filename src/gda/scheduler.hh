@@ -15,6 +15,7 @@
 #ifndef WANIFY_GDA_SCHEDULER_HH
 #define WANIFY_GDA_SCHEDULER_HH
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -99,6 +100,59 @@ struct StageContext
 Seconds estimateStageTime(const StageContext &ctx,
                           const Matrix<Bytes> &assignment);
 
+/**
+ * estimateStageTime over per-destination fractions, memoized per
+ * destination: evaluate(r) equals, bit for bit,
+ * estimateStageTime(ctx, assignmentFromFractions(ctx.inputByDc, r)).
+ *
+ * Under A(i, j) = in_i * r_j every term of the estimate except DC j's
+ * aggregate egress depends on column j alone, hence on r_j alone. The
+ * fraction search's candidate moves change two fractions, so the
+ * model caches those column terms (slowest inbound link, aggregate
+ * ingress, compute) per destination, keyed by the exact bits of r_j,
+ * and recomputes only the row sums on every evaluation. Both paths run
+ * the same column kernel.
+ *
+ * The model keeps a reference to @p ctx: ctx and everything it points
+ * to must outlive the model and stay unchanged while it is in use.
+ * Evaluation after the first call per cached value allocates nothing.
+ */
+class StageTimeModel
+{
+  public:
+    /** Terms of the estimate that depend only on column j. */
+    struct Column
+    {
+        Seconds slowestIn = 0.0;   ///< slowest inbound WAN link
+        Seconds aggregateIn = 0.0; ///< all inbound bytes via DC j's NIC
+        Seconds compute = 0.0;     ///< local work on everything at j
+    };
+
+    explicit StageTimeModel(const StageContext &ctx);
+
+    /** Estimated stage time of fractions @p r (size dcCount). */
+    Seconds evaluate(const std::vector<double> &r);
+
+  private:
+    /** Cached values per destination; least recently used evicted. */
+    static constexpr std::size_t kSlots = 4;
+
+    struct Slot
+    {
+        std::uint64_t key = 0;   ///< bit pattern of r_j
+        std::uint64_t stamp = 0; ///< last use; 0 = empty
+        Column terms;
+    };
+
+    const Column &column(std::size_t j, double r);
+
+    const StageContext &ctx_;
+    const core::BwForecast *forecast_;
+    std::vector<Mbps> wanCap_;
+    std::vector<Slot> slots_; ///< kSlots per destination
+    std::uint64_t clock_ = 0;
+};
+
 /** Egress cost ($) of an assignment. */
 Dollars estimateStageCost(const StageContext &ctx,
                           const Matrix<Bytes> &assignment);
@@ -109,9 +163,8 @@ Matrix<Bytes> assignmentFromFractions(const std::vector<Bytes> &inputByDc,
 
 /**
  * In-place variant: overwrite @p out with the assignment, reshaping
- * it only when its shape differs. The fraction search evaluates up to
- * maxIterations x dcCount^2 candidate moves per stage; reusing one
- * scratch matrix keeps that inner loop allocation-free.
+ * it only when its shape differs, so a scorer that evaluates many
+ * candidate fractions (Kimchi's egress cost) reuses one matrix.
  */
 void assignmentFromFractionsInto(const std::vector<Bytes> &inputByDc,
                                  const std::vector<double> &fractions,

@@ -1,5 +1,6 @@
 #include "ml/random_forest.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -136,16 +137,23 @@ RandomForestRegressor::growTrees(
         bags[t] = std::move(bag);
     };
 
+    forEachIndex(count, growOne);
+    return grown;
+}
+
+void
+RandomForestRegressor::forEachIndex(
+    std::size_t count, const std::function<void(std::size_t)> &fn) const
+{
     if (config_.nThreads == 0) {
-        ThreadPool::global().parallelFor(count, growOne);
+        ThreadPool::global().parallelFor(count, fn);
     } else if (config_.nThreads == 1) {
-        for (std::size_t t = 0; t < count; ++t)
-            growOne(t);
+        for (std::size_t i = 0; i < count; ++i)
+            fn(i);
     } else {
         ThreadPool local(config_.nThreads);
-        local.parallelFor(count, growOne);
+        local.parallelFor(count, fn);
     }
-    return grown;
 }
 
 void
@@ -158,26 +166,34 @@ RandomForestRegressor::computeOob(
     const std::size_t n = data.size();
     const std::size_t firstNew = trees_.size() - bags.size();
 
-    // Tree-major: one tree's nodes stay cache-hot across all of its
-    // out-of-bag samples. Each sample still sums its votes in tree
-    // order, so the estimate is the same as a sample-major loop's.
-    std::vector<double> pred(n, 0.0);
-    std::vector<std::size_t> votes(n, 0);
-    std::vector<bool> inBag(n);
-    for (std::size_t t = 0; t < bags.size(); ++t) {
-        inBag.assign(n, false);
+    // Out-of-bag votes, scored in fixed-size sample chunks across the
+    // pool. Within a chunk the walk is tree-major, so one tree's nodes
+    // stay cache-hot across its out-of-bag samples; every sample still
+    // sums its votes in tree order and lives in one chunk, so the
+    // estimate is the same at any pool size. A batch of at most one
+    // chunk runs on the caller.
+    constexpr std::size_t kChunk = 512;
+    std::vector<bool> inBag(bags.size() * n, false);
+    for (std::size_t t = 0; t < bags.size(); ++t)
         for (std::size_t i : bags[t])
             if (i < n)
-                inBag[i] = true;
-        const DecisionTreeRegressor &tree = *trees_[firstNew + t];
-        for (std::size_t i = 0; i < n; ++i) {
-            if (inBag[i])
-                continue;
-            // const-ref leaf access: no per-vote temporary.
-            pred[i] += tree.predict(data.x(i)).front();
-            ++votes[i];
+                inBag[t * n + i] = true;
+    std::vector<double> pred(n, 0.0);
+    std::vector<std::size_t> votes(n, 0);
+    forEachIndex((n + kChunk - 1) / kChunk, [&](std::size_t c) {
+        const std::size_t begin = c * kChunk;
+        const std::size_t end = std::min(n, begin + kChunk);
+        for (std::size_t t = 0; t < bags.size(); ++t) {
+            const DecisionTreeRegressor &tree = *trees_[firstNew + t];
+            for (std::size_t i = begin; i < end; ++i) {
+                if (inBag[t * n + i])
+                    continue;
+                // const-ref leaf access: no per-vote temporary.
+                pred[i] += tree.predict(data.x(i)).front();
+                ++votes[i];
+            }
         }
-    }
+    });
 
     double ssRes = 0.0, ssTot = 0.0, meanY = 0.0;
     std::size_t covered = 0;

@@ -15,6 +15,7 @@
 #define WANIFY_ML_RANDOM_FOREST_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -135,6 +136,10 @@ class RandomForestRegressor
               std::vector<std::vector<std::size_t>> &bags) const;
     void computeOob(const Dataset &data,
                     const std::vector<std::vector<std::size_t>> &bags);
+
+    /** Run fn(i) for i in [0, count) at config_.nThreads. */
+    void forEachIndex(std::size_t count,
+                      const std::function<void(std::size_t)> &fn) const;
 
     ForestConfig config_;
     std::vector<SharedTree> trees_;

@@ -36,6 +36,17 @@ OuProcess::reseedStationary()
     x_ = rng_.normal(0.0, params_.logSigma);
 }
 
+OuStepConstants
+OuProcess::stepConstants(const FluctuationParams &params, Seconds dt)
+{
+    // Exact OU discretization with stationary SD sigma:
+    //   X' = X e^{-theta dt} + N(0, sigma sqrt(1 - e^{-2 theta dt}))
+    OuStepConstants c;
+    c.decay = std::exp(-params.theta * dt);
+    c.noiseSd = params.logSigma * std::sqrt(1.0 - c.decay * c.decay);
+    return c;
+}
+
 double
 OuProcess::step(Seconds dt)
 {
@@ -46,17 +57,22 @@ OuProcess::step(Seconds dt)
     // desynchronize replays that mix zero- and nonzero-length ticks.
     if (!(dt > 0.0))
         return multiplier();
-    // Exact OU discretization with stationary SD sigma:
-    //   X' = X e^{-theta dt} + N(0, sigma sqrt(1 - e^{-2 theta dt}))
-    const double decay = std::exp(-params_.theta * dt);
-    const double noiseSd =
-        params_.logSigma * std::sqrt(1.0 - decay * decay);
-    x_ = x_ * decay + rng_.normal(0.0, noiseSd);
-    // Defensive: a non-finite state would poison every rate solve
-    // from here on; snap back to the mean instead.
-    if (!std::isfinite(x_))
-        x_ = 0.0;
+    advance(stepConstants(params_, dt), 1);
     return multiplier();
+}
+
+void
+OuProcess::advance(const OuStepConstants &c, std::size_t ticks)
+{
+    if (!active())
+        return;
+    for (std::size_t k = 0; k < ticks; ++k) {
+        x_ = x_ * c.decay + rng_.normal(0.0, c.noiseSd);
+        // Defensive: a non-finite state would poison every rate solve
+        // from here on; snap back to the mean instead.
+        if (!std::isfinite(x_))
+            x_ = 0.0;
+    }
 }
 
 double
@@ -71,6 +87,7 @@ OuProcess::multiplier() const
 FluctuationBank::FluctuationBank(std::size_t pairs,
                                  FluctuationParams params,
                                  std::uint64_t seed)
+    : params_(params), active_(params.enabled && params.logSigma > 0.0)
 {
     Rng master(seed);
     processes_.reserve(pairs);
@@ -84,8 +101,27 @@ FluctuationBank::FluctuationBank(std::size_t pairs,
 void
 FluctuationBank::step(Seconds dt)
 {
-    for (std::size_t i = 0; i < processes_.size(); ++i)
-        multipliers_[i] = processes_[i].step(dt);
+    // An inactive process and a dt <= 0 step leave every multiplier
+    // (and RNG stream) as it is, so there is nothing to record.
+    if (!active_ || !(dt > 0.0))
+        return;
+    if (pending_ > 0 && dt != pendingDt_)
+        catchUp();
+    pendingDt_ = dt;
+    ++pending_;
+}
+
+void
+FluctuationBank::catchUp() const
+{
+    if (pending_ == 0)
+        return;
+    const OuStepConstants c = OuProcess::stepConstants(params_, pendingDt_);
+    for (std::size_t i = 0; i < processes_.size(); ++i) {
+        processes_[i].advance(c, pending_);
+        multipliers_[i] = processes_[i].multiplier();
+    }
+    pending_ = 0;
 }
 
 double
@@ -93,7 +129,15 @@ FluctuationBank::multiplier(std::size_t index) const
 {
     panicIf(index >= processes_.size(),
             "FluctuationBank: index out of range");
+    catchUp();
     return multipliers_[index];
+}
+
+const std::vector<double> &
+FluctuationBank::multipliers() const
+{
+    catchUp();
+    return multipliers_;
 }
 
 } // namespace net

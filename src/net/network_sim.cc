@@ -316,6 +316,13 @@ NetworkSim::rebuildGroupInputs()
 void
 NetworkSim::resolveRates()
 {
+    // No flow, no rate to solve: skipping the composition also leaves
+    // the fluctuation banks' pending ticks unread, so an idle stretch
+    // draws nothing until a transfer or a reader needs the mesh.
+    if (transfers_.empty()) {
+        ratesDirty_ = false;
+        return;
+    }
     if (config_.referenceSolverInputs) {
         resolveRatesReference();
         return;

@@ -5,9 +5,15 @@
  * NetworkSim owns the dynamic network state: the set of active transfers
  * (finite shuffles or infinite iPerf-style measurement flows), per-pair
  * capacity fluctuation, and WANify tc throttles. Rates are re-solved
- * whenever the flow set changes and at every fluctuation tick; between
- * rate changes, transfers progress linearly and completions are located
- * exactly.
+ * whenever the flow set changes and at every fluctuation tick that
+ * has a transfer to move; between rate changes, transfers progress
+ * linearly and completions are located exactly.
+ *
+ * Fluctuation ticks are lazy (see FluctuationBank): a tick only counts,
+ * and the OU draws happen when something reads a capacity — a rate
+ * solve or effectivePathCap(). The const readers therefore advance
+ * cached state, and a simulator must not be read from two threads at
+ * once; it has one writer, and every caller keeps it on one thread.
  *
  * The simulator is the common substrate for the measurement plane
  * (monitor/), for WANify's local agents, and for the GDA engine's shuffle
@@ -235,7 +241,12 @@ class NetworkSim
      */
     double pairRetransScore(DcId src, DcId dst) const;
 
-    /** Effective (fluctuated) path capacity right now. */
+    /**
+     * Effective (fluctuated) path capacity right now. Const, but it
+     * applies the fluctuation ticks pending since the last read (the
+     * same draws eager stepping would have made), so it is not safe
+     * to call concurrently with any other reader of this simulator.
+     */
     Mbps effectivePathCap(DcId src, DcId dst) const;
 
     /** Ids of active transfers (incl. measurements) between two DCs. */

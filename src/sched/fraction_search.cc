@@ -9,14 +9,12 @@ namespace wanify {
 namespace sched {
 
 FractionSearchResult
-searchFractionsDetailed(const gda::StageContext &ctx,
-                        const AssignmentObjective &objective,
+searchFractionsDetailed(const FractionObjective &objective,
                         std::vector<double> seedFractions,
                         const FractionSearchConfig &cfg)
 {
-    const std::size_t n = ctx.inputByDc.size();
-    fatalIf(seedFractions.size() != n,
-            "searchFractions: seed size mismatch");
+    const std::size_t n = seedFractions.size();
+    fatalIf(n == 0, "searchFractions: empty seed");
 
     // Normalize the seed onto the simplex.
     double sum = 0.0;
@@ -29,18 +27,10 @@ searchFractionsDetailed(const gda::StageContext &ctx,
             f = std::max(0.0, f) / sum;
     }
 
-    // One scratch assignment matrix reused across every objective
-    // evaluation (up to maxIterations x n^2 candidate moves), and one
-    // scratch candidate vector overwritten per move: the search's
-    // inner loop allocates nothing after the first evaluation.
-    Matrix<Bytes> scratch;
-    auto evaluate = [&](const std::vector<double> &r) {
-        gda::assignmentFromFractionsInto(ctx.inputByDc, r, scratch);
-        return objective(scratch);
-    };
-
+    // One scratch candidate vector overwritten per move: the search
+    // itself allocates nothing inside its loop.
     std::vector<double> best = seedFractions;
-    double bestValue = evaluate(best);
+    double bestValue = objective(best);
     std::vector<double> candidate(n);
     std::size_t iterations = 0;
 
@@ -57,7 +47,7 @@ searchFractionsDetailed(const gda::StageContext &ctx,
                 candidate = best;
                 candidate[from] -= cfg.step;
                 candidate[to] += cfg.step;
-                const double value = evaluate(candidate);
+                const double value = objective(candidate);
                 if (value < roundBest - 1.0e-12) {
                     roundBest = value;
                     moveFrom = from;

@@ -24,9 +24,15 @@
 namespace wanify {
 namespace sched {
 
-/** Objective over an assignment matrix; lower is better. */
-using AssignmentObjective =
-    std::function<double(const Matrix<Bytes> &)>;
+/**
+ * Objective over per-destination fractions r (sum 1, r >= 0); lower
+ * is better. The search calls it once per candidate move, and each
+ * candidate differs from the current best in two fractions, so an
+ * objective that caches per-destination terms keyed by r_j (see
+ * gda::StageTimeModel) pays only for the columns a move changed.
+ */
+using FractionObjective =
+    std::function<double(const std::vector<double> &)>;
 
 /** Search tunables. */
 struct FractionSearchConfig
@@ -57,10 +63,11 @@ struct FractionSearchResult
  * Minimize @p objective over fractions r (sum 1, r >= 0), returning
  * the best fractions found with the iteration count and the final
  * objective (the warm-start effectiveness surface). @p seedFractions
- * is the starting point (normalized internally).
+ * is the starting point (normalized internally); its size is the DC
+ * count.
  */
 FractionSearchResult searchFractionsDetailed(
-    const gda::StageContext &ctx, const AssignmentObjective &objective,
+    const FractionObjective &objective,
     std::vector<double> seedFractions,
     const FractionSearchConfig &cfg = {});
 

@@ -17,11 +17,16 @@ KimchiScheduler::placeStage(const gda::StageContext &ctx)
 {
     const std::size_t n = ctx.inputByDc.size();
 
+    // Memoized stage time plus the weighted egress cost, priced on
+    // one scratch assignment reused across the candidate moves.
+    gda::StageTimeModel model(ctx);
+    Matrix<Bytes> scratch;
     const double weight = costWeight_;
-    const AssignmentObjective objective =
-        [&ctx, weight](const Matrix<Bytes> &assignment) {
-            return gda::estimateStageTime(ctx, assignment) +
-                   weight * gda::estimateStageCost(ctx, assignment);
+    const FractionObjective objective =
+        [&](const std::vector<double> &r) {
+            gda::assignmentFromFractionsInto(ctx.inputByDc, r, scratch);
+            return model.evaluate(r) +
+                   weight * gda::estimateStageCost(ctx, scratch);
         };
 
     std::vector<double> seed(n, 0.0);
@@ -37,7 +42,7 @@ KimchiScheduler::placeStage(const gda::StageContext &ctx)
     applyWarmStart(ctx, seed);
 
     const auto result =
-        searchFractionsDetailed(ctx, objective, seed, search_);
+        searchFractionsDetailed(objective, seed, search_);
     rememberResult(ctx, result);
     return gda::assignmentFromFractions(ctx.inputByDc,
                                         result.fractions);

@@ -12,10 +12,12 @@ TetriumScheduler::placeStage(const gda::StageContext &ctx)
 {
     const std::size_t n = ctx.inputByDc.size();
 
-    // Objective: estimated stage completion time (network + compute).
-    const AssignmentObjective objective =
-        [&ctx](const Matrix<Bytes> &assignment) {
-            return gda::estimateStageTime(ctx, assignment);
+    // Objective: estimated stage completion time (network + compute),
+    // memoized per destination across the search's candidate moves.
+    gda::StageTimeModel model(ctx);
+    const FractionObjective objective =
+        [&model](const std::vector<double> &r) {
+            return model.evaluate(r);
         };
 
     // Seed compute-proportionally (Spark's slot-driven default); the
@@ -35,7 +37,7 @@ TetriumScheduler::placeStage(const gda::StageContext &ctx)
     applyWarmStart(ctx, seed);
 
     const auto result =
-        searchFractionsDetailed(ctx, objective, seed, search_);
+        searchFractionsDetailed(objective, seed, search_);
     rememberResult(ctx, result);
     return gda::assignmentFromFractions(ctx.inputByDc,
                                         result.fractions);

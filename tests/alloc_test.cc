@@ -5,9 +5,10 @@
  * This suite replaces the global operator new with a counting one, so
  * it is its own binary. It asserts that a passing fatalIf/panicIf
  * with a literal message, and the hot calls built on such checks
- * (Matrix::at, BwForecast::transferTime, gda::estimateStageTime),
- * perform no heap allocation at all. It also counts the allocations
- * of a warm-start retrain, which must not grow with the base forest.
+ * (Matrix::at, BwForecast::transferTime, gda::estimateStageTime, a
+ * warm gda::StageTimeModel evaluation), perform no heap allocation at
+ * all. It also counts the allocations of a warm-start retrain, which
+ * must not grow with the base forest.
  */
 
 #include <gtest/gtest.h>
@@ -206,6 +207,28 @@ TEST(Alloc, EstimateStageTimeAllocatesNothing)
               }),
               0u);
     EXPECT_GT(forecast, snapshot);
+}
+
+TEST(Alloc, WarmStageTimeModelEvaluationAllocatesNothing)
+{
+    StageFixture f;
+    f.ctx.forecast = &f.forecast;
+    f.ctx.inputByDc = {4.0e9, 1.0e9, 0.0, 2.0e9};
+    gda::StageTimeModel model(f.ctx);
+    // A search round's shape: the current best and two moves off it.
+    const std::vector<std::vector<double>> moves = {
+        {0.25, 0.25, 0.25, 0.25},
+        {0.23, 0.27, 0.25, 0.25},
+        {0.25, 0.25, 0.23, 0.27},
+    };
+    for (const auto &r : moves)
+        model.evaluate(r);
+    Seconds total = 0.0;
+    EXPECT_EQ(allocationsDuring([&](int r) {
+                  total += model.evaluate(moves[r % moves.size()]);
+              }),
+              0u);
+    EXPECT_GT(total, 0.0);
 }
 
 TEST(Alloc, RetrainCostIndependentOfBaseForestSize)

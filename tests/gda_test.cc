@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "cost/cost_model.hh"
 #include "experiments/testbed.hh"
@@ -336,6 +340,229 @@ TEST(Schedulers, KimchiPrefersCheapEgress)
               gda::estimateStageCost(ctxCost, aT) + 1e-9);
     // Kimchi keeps more of the expensive-egress data at home.
     EXPECT_GE(aK.at(7, 7), aT.at(7, 7) - 1.0);
+}
+
+// ---- memoized stage-time model ------------------------------------------------
+
+namespace {
+
+/**
+ * A random stage over 3-8 DCs: random believed BW with one dead pair,
+ * a random WAN share (often < 1), some DCs holding no input, and a
+ * three-segment forecast that planning may integrate over.
+ */
+struct RandomStage
+{
+    explicit RandomStage(Rng &rng)
+        : topo(workerCluster(
+              static_cast<std::size_t>(rng.uniformInt(3, 8)), 2)),
+          bw(Matrix<Mbps>::square(topo.dcCount(), 0.0)),
+          stage{"s", 1.0, rng.uniform(0.001, 0.2), true}
+    {
+        const std::size_t n = topo.dcCount();
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                bw.at(i, j) = i == j ? 0.0 : rng.uniform(5.0, 1500.0);
+        bw.at(0, n - 1) = 0.0; // dead pair
+        std::vector<Bytes> input(n, 0.0);
+        for (std::size_t i = 0; i < n; ++i)
+            if (!rng.bernoulli(0.3))
+                input[i] = rng.uniform(0.1e9, 8.0e9);
+        ctx = contextFor(topo, bw, stage, input, 1);
+        ctx.wanShare = rng.bernoulli(0.5) ? rng.uniform(0.05, 1.0) : 1.0;
+        Seconds end = 0.0;
+        for (int k = 0; k < 3; ++k) {
+            Matrix<Mbps> seg = bw;
+            seg.apply([&](Mbps v) { return v * rng.uniform(0.1, 1.5); });
+            end += rng.uniform(2.0, 60.0);
+            forecast.addSegment(k == 2 ? 1.0e7 : end, seg);
+        }
+        ctx.planTime = rng.uniform(0.0, 30.0);
+    }
+
+    /** Random fractions on the simplex, some exactly zero. */
+    std::vector<double>
+    fractions(Rng &rng) const
+    {
+        std::vector<double> r(topo.dcCount(), 0.0);
+        double sum = 0.0;
+        for (double &f : r) {
+            f = rng.bernoulli(0.2) ? 0.0 : rng.uniform();
+            sum += f;
+        }
+        for (double &f : r)
+            f = sum > 0.0 ? f / sum : 1.0 / static_cast<double>(r.size());
+        return r;
+    }
+
+    net::Topology topo;
+    Matrix<Mbps> bw;
+    gda::StageSpec stage;
+    core::BwForecast forecast;
+    gda::StageContext ctx;
+};
+
+/** Objective over a whole assignment matrix (the un-memoized form). */
+using MatrixObjective = std::function<double(const Matrix<Bytes> &)>;
+
+/**
+ * The fraction search as it stood before memoization: every candidate
+ * move rebuilds the full assignment and evaluates @p objective on it.
+ */
+sched::FractionSearchResult
+unmemoizedSearch(const gda::StageContext &ctx,
+                 const MatrixObjective &objective,
+                 std::vector<double> seed,
+                 const sched::FractionSearchConfig &cfg = {})
+{
+    const std::size_t n = seed.size();
+    double sum = 0.0;
+    for (double f : seed)
+        sum += std::max(0.0, f);
+    for (auto &f : seed)
+        f = std::max(0.0, f) / sum;
+    auto evaluate = [&](const std::vector<double> &r) {
+        return objective(gda::assignmentFromFractions(ctx.inputByDc, r));
+    };
+    std::vector<double> best = seed;
+    double bestValue = evaluate(best);
+    std::size_t iterations = 0;
+    for (std::size_t iter = 0; iter < cfg.maxIterations; ++iter) {
+        double roundBest = bestValue;
+        std::size_t moveFrom = n, moveTo = n;
+        for (std::size_t from = 0; from < n; ++from) {
+            if (best[from] < cfg.step)
+                continue;
+            for (std::size_t to = 0; to < n; ++to) {
+                if (to == from)
+                    continue;
+                std::vector<double> candidate = best;
+                candidate[from] -= cfg.step;
+                candidate[to] += cfg.step;
+                const double value = evaluate(candidate);
+                if (value < roundBest - 1.0e-12) {
+                    roundBest = value;
+                    moveFrom = from;
+                    moveTo = to;
+                }
+            }
+        }
+        if (moveFrom == n)
+            break;
+        ++iterations;
+        best[moveFrom] -= cfg.step;
+        best[moveTo] += cfg.step;
+        const double improvement = (bestValue - roundBest) /
+                                   std::max(bestValue, 1.0e-12);
+        bestValue = roundBest;
+        if (improvement < cfg.tolerance)
+            break;
+    }
+    return {best, iterations, bestValue};
+}
+
+} // namespace
+
+TEST(StageTimeModel, MatchesEstimateStageTimeBitForBit)
+{
+    // Random contexts under snapshot and forecast planning, evaluated
+    // on random fractions and then on single-step moves of them: the
+    // memo must serve hits and misses with the estimator's exact bits.
+    Rng rng(2718);
+    for (int trial = 0; trial < 40; ++trial) {
+        RandomStage s(rng);
+        if (trial % 2 == 1)
+            s.ctx.forecast = &s.forecast;
+        gda::StageTimeModel model(s.ctx);
+        const std::size_t n = s.topo.dcCount();
+        for (int k = 0; k < 25; ++k) {
+            std::vector<double> r = s.fractions(rng);
+            if (k % 5 != 0) {
+                // A search-shaped move: shift 0.02 between two DCs.
+                const auto from = static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+                const std::size_t to = (from + 1) % n;
+                r[from] -= 0.02;
+                r[to] += 0.02;
+            }
+            const Seconds want = gda::estimateStageTime(
+                s.ctx, gda::assignmentFromFractions(s.ctx.inputByDc, r));
+            EXPECT_EQ(model.evaluate(r), want)
+                << "trial " << trial << " eval " << k;
+            EXPECT_EQ(model.evaluate(r), want) << "cached repeat";
+        }
+    }
+}
+
+TEST(StageTimeModel, RejectsMismatchedShapes)
+{
+    const auto topo = workerCluster(3);
+    const Matrix<Mbps> bw = Matrix<Mbps>::square(3, 500.0);
+    const gda::StageSpec stage{"s", 1.0, 0.05, true};
+    auto ctx = contextFor(topo, bw, stage, {1.0e9, 2.0e9}, 1);
+    EXPECT_THROW(gda::StageTimeModel{ctx}, FatalError);
+    ctx.inputByDc.push_back(3.0e9);
+    gda::StageTimeModel model(ctx);
+    EXPECT_THROW(model.evaluate({0.5, 0.5}), FatalError);
+}
+
+TEST(StageTimeModel, SearchesMatchUnmemoizedSearch)
+{
+    // Tetrium and Kimchi on the memoized model must find exactly what
+    // the matrix-rebuilding search finds: fractions, iteration count
+    // and objective, from the same (warm-start) seed.
+    Rng rng(31415);
+    const double costWeight = 120.0;
+    for (int trial = 0; trial < 12; ++trial) {
+        RandomStage s(rng);
+        if (trial % 2 == 1)
+            s.ctx.forecast = &s.forecast;
+        const std::vector<double> seed = s.fractions(rng);
+        const gda::StageContext &ctx = s.ctx;
+
+        const MatrixObjective tetriumRef = [&](const Matrix<Bytes> &a) {
+            return gda::estimateStageTime(ctx, a);
+        };
+        const MatrixObjective kimchiRef = [&](const Matrix<Bytes> &a) {
+            return gda::estimateStageTime(ctx, a) +
+                   costWeight * gda::estimateStageCost(ctx, a);
+        };
+        sched::TetriumScheduler tetrium;
+        sched::KimchiScheduler kimchi(costWeight);
+        const std::vector<std::pair<gda::Scheduler *, MatrixObjective>>
+            arms = {{&tetrium, tetriumRef}, {&kimchi, kimchiRef}};
+        for (const auto &[scheduler, objective] : arms) {
+            const auto want = unmemoizedSearch(ctx, objective, seed);
+
+            gda::PlanMemory memory;
+            memory.fractionsByStage[ctx.stageIndex] = seed;
+            gda::StageContext warm = ctx;
+            warm.memory = &memory;
+            const Matrix<Bytes> placed = scheduler->placeStage(warm);
+            EXPECT_EQ(memory.fractionsByStage[ctx.stageIndex],
+                      want.fractions)
+                << scheduler->name() << " trial " << trial;
+            EXPECT_EQ(memory.lastIterations, want.iterations)
+                << scheduler->name() << " trial " << trial;
+            const Matrix<Bytes> expected =
+                gda::assignmentFromFractions(ctx.inputByDc, want.fractions);
+            for (std::size_t i = 0; i < expected.rows(); ++i)
+                for (std::size_t j = 0; j < expected.cols(); ++j)
+                    EXPECT_EQ(placed.at(i, j), expected.at(i, j));
+            EXPECT_EQ(objective(placed), want.objective)
+                << scheduler->name() << " trial " << trial;
+        }
+
+        // The search's reported objective is the memoized model's.
+        gda::StageTimeModel model(ctx);
+        const auto got = sched::searchFractionsDetailed(
+            [&](const std::vector<double> &r) { return model.evaluate(r); },
+            seed);
+        const auto want = unmemoizedSearch(ctx, tetriumRef, seed);
+        EXPECT_EQ(got.fractions, want.fractions);
+        EXPECT_EQ(got.iterations, want.iterations);
+        EXPECT_EQ(got.objective, want.objective);
+    }
 }
 
 // ---- workloads ---------------------------------------------------------------------

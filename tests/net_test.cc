@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <iterator>
 #include <map>
 #include <string>
 
@@ -193,6 +194,85 @@ TEST(Fluctuation, RejectsNonFiniteParams)
     params.theta = 0.08;
     params.logSigma = std::numeric_limits<double>::infinity();
     EXPECT_THROW(OuProcess(params, Rng(1)), FatalError);
+}
+
+namespace {
+
+/** The bank's processes built the way the bank builds them, for
+ *  stepping eagerly on every tick. */
+std::vector<OuProcess>
+eagerProcesses(std::size_t n, FluctuationParams params, std::uint64_t seed)
+{
+    Rng master(seed);
+    std::vector<OuProcess> processes;
+    for (std::size_t i = 0; i < n; ++i)
+        processes.emplace_back(params, master.split());
+    return processes;
+}
+
+} // namespace
+
+TEST(Fluctuation, LazyCatchUpMatchesEagerStepsBitForBit)
+{
+    const FluctuationParams params;
+    FluctuationBank bank(6, params, 17);
+    auto eager = eagerProcesses(6, params, 17);
+    auto tick = [&](Seconds dt, int k) {
+        for (int t = 0; t < k; ++t) {
+            bank.step(dt);
+            for (OuProcess &p : eager)
+                p.step(dt);
+        }
+    };
+    auto expectSame = [&](const char *when) {
+        const std::vector<double> &lazy = bank.multipliers();
+        EXPECT_EQ(bank.pendingTicks(), 0u) << when;
+        for (std::size_t i = 0; i < eager.size(); ++i)
+            EXPECT_EQ(lazy[i], eager[i].multiplier())
+                << when << ", process " << i;
+    };
+
+    // k idle ticks, then one read.
+    tick(1.0, 37);
+    EXPECT_EQ(bank.pendingTicks(), 37u);
+    expectSame("after 37 idle ticks");
+
+    // A dt change while ticks are pending applies the old ones first;
+    // zero, negative and NaN steps record nothing.
+    tick(1.0, 5);
+    tick(0.25, 3);
+    EXPECT_EQ(bank.pendingTicks(), 3u);
+    tick(0.0, 2);
+    tick(-1.0, 1);
+    tick(std::nan(""), 1);
+    EXPECT_EQ(bank.pendingTicks(), 3u);
+    expectSame("after a dt change mid-pending");
+
+    // Reads of single multipliers between irregular tick runs.
+    for (int r = 0; r < 30; ++r) {
+        tick(r % 4 == 0 ? 0.5 : 1.0, 1 + r % 5);
+        const std::size_t i = static_cast<std::size_t>(r) % eager.size();
+        EXPECT_EQ(bank.multiplier(i), eager[i].multiplier()) << "read " << r;
+    }
+    expectSame("after interleaved reads");
+}
+
+TEST(Fluctuation, InactiveBankRecordsNoTicks)
+{
+    // A disabled or zero-sigma bank pins every multiplier at 1 and
+    // never schedules a catch-up, so it cannot draw from its streams.
+    FluctuationParams disabled;
+    disabled.enabled = false;
+    FluctuationParams zero;
+    zero.logSigma = 0.0;
+    for (const FluctuationParams &params : {disabled, zero}) {
+        FluctuationBank bank(5, params, 3);
+        for (int t = 0; t < 10; ++t)
+            bank.step(1.0);
+        EXPECT_EQ(bank.pendingTicks(), 0u);
+        for (double m : bank.multipliers())
+            EXPECT_EQ(m, 1.0);
+    }
 }
 
 // ---- topology --------------------------------------------------------------
@@ -810,6 +890,82 @@ TEST(NetworkSim, RetransScoreRisesUnderContention)
                                      topo.dc(j).vms.front(), 4);
     sim.advanceBy(1.0);
     EXPECT_GT(sim.pairRetransScore(7, 3), 0.05);
+}
+
+TEST(NetworkSim, IdleStretchMatchesFrozenGolden)
+{
+    // Transfers, a 500 s idle stretch, a capacity read, then more
+    // transfers, under OU fluctuation. The idle ticks are applied
+    // lazily; the values below were frozen from the simulator when it
+    // still drew every tick eagerly, so a catch-up that skips or
+    // reorders a draw moves them.
+    NetworkSim sim(paperTopo(4), NetworkSimConfig{}, 2024);
+    const Topology &t = sim.topology();
+    auto vm = [&](DcId d, std::size_t k) {
+        return t.dc(d).vms[k % t.dc(d).vms.size()];
+    };
+    auto wave = [&](double scale) {
+        for (DcId i = 0; i < 4; ++i)
+            for (DcId j = 0; j < 4; ++j)
+                if (i != j && (i + j) % 2 == 1)
+                    sim.startTransfer(
+                        vm(i, j), vm(j, i),
+                        scale * (150.0e6 + 40.0e6 * i + 7.0e6 * j),
+                        1 + static_cast<int>(i % 3));
+    };
+    wave(1.0);
+    sim.runUntilAllComplete();
+    sim.advanceBy(500.0);
+    EXPECT_EQ(sim.effectivePathCap(0, 1), 0x1.57c1839b47982p+11);
+    wave(2.0);
+    sim.advanceBy(0.35);
+    sim.advanceBy(2.65);
+    sim.runUntilAllComplete();
+
+    struct Golden
+    {
+        TransferId id;
+        Seconds time;
+        Bytes moved;
+    };
+    const Golden golden[] = {
+        {3, 0x1.22ce272def9c3p-1, 0x1.6a65700000001p+27},
+        {6, 0x1.70abcfdf3b9ecp-1, 0x1.debe98p+27},
+        {1, 0x1.76231b297fb12p-1, 0x1.2b7428p+27},
+        {8, 0x1.5a0882e89bdd4p+0, 0x1.0ed7fp+28},
+        {5, 0x1.227a6ded8b958p+2, 0x1.c40aa8p+27},
+        {4, 0x1.50c5f247578f5p+2, 0x1.8519600000001p+27},
+        {2, 0x1.70d02617d7d26p+3, 0x1.462818p+27},
+        {7, 0x1.232b10998f704p+4, 0x1.017df8p+28},
+        {11, 0x1.03c11d3165239p+9, 0x1.6a657p+28},
+        {9, 0x1.03d46a12613b5p+9, 0x1.2b7428p+28},
+        {14, 0x1.03da04fe047a5p+9, 0x1.debe98p+28},
+        {16, 0x1.04736107b5175p+9, 0x1.0ed7fp+29},
+        {13, 0x1.07ab98cdcb0adp+9, 0x1.c40aa7fffffffp+28},
+        {12, 0x1.085e28ccb69efp+9, 0x1.85196p+28},
+        {10, 0x1.0e9fd9b58b3ap+9, 0x1.4628180000002p+28},
+        {15, 0x1.154c098e65727p+9, 0x1.017df80000001p+29},
+    };
+    const auto recs = sim.drainCompletions();
+    ASSERT_EQ(recs.size(), std::size(golden));
+    for (std::size_t k = 0; k < recs.size(); ++k) {
+        EXPECT_EQ(recs[k].id, golden[k].id) << "completion " << k;
+        EXPECT_EQ(recs[k].time, golden[k].time) << "completion " << k;
+        EXPECT_EQ(recs[k].bytesMoved, golden[k].moved) << "completion " << k;
+    }
+
+    const Bytes pairBytes[4][4] = {
+        {0.0, 0x1.c12e3cp+28, 0.0, 0x1.e93c240000007p+28},
+        {0x1.0fcc14p+29, 0.0, 0x1.23d307fffffffp+29, 0.0},
+        {0.0, 0x1.5307fep+29, 0.0, 0x1.670ef2p+29},
+        {0x1.823cf3ffffffbp+29, 0.0, 0x1.9643e8p+29, 0.0},
+    };
+    for (DcId i = 0; i < 4; ++i)
+        for (DcId j = 0; j < 4; ++j)
+            EXPECT_EQ(sim.pairBytes(i, j), pairBytes[i][j])
+                << "pair " << i << "->" << j;
+    EXPECT_EQ(sim.now(), 0x1.154c098e65727p+9);
+    EXPECT_EQ(sim.effectivePathCap(2, 3), 0x1.e0b888cf3bf7ep+11);
 }
 
 TEST(NetworkSim, FlatSolverInputsMatchReferenceBitExact)

@@ -296,6 +296,26 @@ TEST(ParallelForest, WarmStartMatchesSequential)
     }
 }
 
+TEST(ParallelForest, OobScoringAcrossChunksMatchesFrozenValues)
+{
+    // 1300 rows span three OOB scoring chunks, the last one partial.
+    // The values were frozen from the serial tree-major scorer: the
+    // chunked one must reproduce them at every pool size.
+    const auto data = linearData(1300, 23);
+    for (std::size_t threads : {1u, 0u, 3u}) {
+        ForestConfig cfg;
+        cfg.nEstimators = 12;
+        cfg.nThreads = threads;
+        RandomForestRegressor forest(cfg);
+        forest.fit(data, 5);
+        EXPECT_EQ(forest.oobR2(), 0x1.fff83fe6e5604p-1)
+            << "fit, nThreads " << threads;
+        forest.warmStart(data, 5, 6);
+        EXPECT_EQ(forest.oobR2(), 0x1.fff741b02fa41p-1)
+            << "warm start, nThreads " << threads;
+    }
+}
+
 TEST(ParallelTrials, AggregateMatchesSequentialBitForBit)
 {
     const auto seq =

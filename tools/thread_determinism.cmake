@@ -1,8 +1,10 @@
 # Determinism contract: a fixed seed prints byte-identical stdout at
-# any pool size. Runs a serve drain, the scenario verifier and an
-# adaptive engine run (drift -> gauge -> warm-start retrain, so the
-# query's bill is taken while gauges run mid-shuffle) at
-# WANIFY_THREADS=1 and WANIFY_THREADS=4 and fails on any difference.
+# any pool size. Runs a serve drain under Tetrium and one under Kimchi
+# (the memoized placement model with its egress-cost term), the
+# scenario verifier and an adaptive engine run (drift -> gauge ->
+# warm-start retrain, so the query's bill is taken while gauges run
+# mid-shuffle) at WANIFY_THREADS=1 and WANIFY_THREADS=4 and fails on
+# any difference.
 # With the optional -DFIG11=, it also checks
 # bench_fig11_prediction_accuracy, which trains the campaign forests
 # on the pool.
@@ -45,6 +47,8 @@ endfunction()
 
 expect_thread_invariant(${SERVE} run --queries 40 --dcs 6 --concurrent 24
                         --window 20 --retrain-every 15 --seed 7)
+expect_thread_invariant(${SERVE} run --scheduler kimchi --queries 40 --dcs 6
+                        --seed 7)
 expect_thread_invariant(${SCENARIO} verify --dcs 4 --vms 2 --horizon 120)
 expect_thread_invariant(${SCENARIO} run dc-outage --dcs 4 --vms 2 --adapt
                         --retrain --runs 2 --seed 7)
